@@ -261,7 +261,7 @@ def _resolve_leaf_ids(port, users):
     with SyncAequusClient(port=port, timeout=30.0) as client:
         for user in users:
             client.lookup_fairshare(user)
-        cached = dict(client._client._leaf_ids)
+        cached = dict(client.leaf_ids)
     return [cached[u] for u in users if u in cached]
 
 

@@ -1,12 +1,22 @@
-"""Resilient client transport for aequusd.
+"""Resilient client transport for aequusd: one protocol, two drivers.
 
-:class:`AequusClient` is the asyncio transport: a small connection pool,
-correlation-id pipelining (any number of requests in flight per
-connection), per-request timeouts, and bounded exponential-backoff
-reconnect-and-retry.  :class:`SyncAequusClient` wraps it behind a private
-event-loop thread for synchronous callers — including ``libaequus``'s
-socket transport mode, whose duck-type (``lookup_fairshare`` /
-``resolve_identity`` / ``report_usage``) it implements.
+:class:`AequusClient` holds every operation's protocol logic once (HELLO
+negotiation, JSON fallback, leaf-id cache, batch lookup, retry, error
+lifting) as coroutines over a :class:`_Connection`; the drivers differ
+only in how a connection moves bytes.
+
+* :class:`AequusClient` itself is the **pipelining asyncio driver**: a
+  small connection pool, any number of requests in flight per connection
+  (correlation ids), per-request timers.  For a caller that keeps many
+  requests in flight at once: load drivers, fan-out scrapes.
+* :class:`SyncAequusClient` is the **blocking driver**: request and reply
+  travel on the caller's thread over a blocking socket — no thread, no
+  event loop; its connections never suspend, so the same coroutines run
+  to completion in one ``send(None)``.  For closed-loop callers that need
+  one answer before asking for the next: ``libaequus``'s socket transport
+  (it implements that duck-type: ``lookup_fairshare`` /
+  ``resolve_identity`` / ``report_usage``) under an RMS queue pass, the
+  CLI, the collector.  Threads sharing one instance are serialized.
 
 Protocol upgrade: each new connection sends a JSON ``HELLO``; servers
 that advertise ``binary: 2`` get the hot key-addressed ops
@@ -38,24 +48,28 @@ the whole window.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import random
+import socket
 import struct
 import threading
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+import time
+from types import MappingProxyType
+from typing import (Any, Awaitable, Callable, Coroutine, Dict, Iterable, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 from ..core.vector import FairshareVector
 from ..obs.registry import MetricsRegistry, StatsView
 from ..services.irs import IdentityResolutionError
-from .protocol import (BIN_ACCEPTED, BIN_FS_REPLY, BIN_HEADER, BIN_REP_MAGIC,
+from .protocol import (BIN_ACCEPTED, BIN_BATCH_REPLY_HEAD, BIN_FS_REPLY,
                        BIN_VEC_HEAD, BST_EPOCH_CHANGED, BST_OK,
-                       BST_UNKNOWN_USER, ERR_UNKNOWN_USER, HEADER,
-                       MAX_FRAME_BYTES, NO_LEAF_ID, PROTOCOL_VERSION,
+                       BST_UNKNOWN_USER, ERR_UNKNOWN_USER, MAX_FRAME_BYTES,
+                       NO_LEAF_ID, PROTOCOL_VERSION, ProtocolError,
                        bin_batch_fairshare, bin_get_fairshare_by_id,
                        bin_get_fairshare_by_name, bin_get_vector_by_name,
-                       bin_report_usage, decode_bin_error, decode_payload,
-                       encode_frame)
+                       bin_report_usage, decode_bin_error, encode_frame,
+                       split_reply)
 
 __all__ = ["AequusClient", "SyncAequusClient", "AequusServerError",
            "AequusTransportError"]
@@ -91,25 +105,48 @@ class _RequestFailed(Exception):
 
 
 class _Connection:
-    """One pooled connection: id-correlated pipelining over a single socket.
+    """One connection: requests stamped with a fresh correlation id.
 
-    JSON and binary replies share the correlation-id space (the id
-    counter is per connection), so one buffered read loop demultiplexes
-    both framings: a JSON future resolves to the reply dict, a binary
-    future to ``(status, body)``.
+    A driver subclass moves the bytes — ``async _exchange(rid, frame,
+    timeout)`` returning the reply with that id, and ``async close()`` —
+    and marks the connection ``broken`` on any failure so the client
+    re-dials.
+    """
+
+    def __init__(self, max_frame: int):
+        self.max_frame = max_frame
+        self._ids = itertools.count(1)
+        self.broken = False
+        #: negotiated per connection via HELLO (see AequusClient._connect)
+        self.binary = False
+
+    async def request(self, payload: Dict[str, Any],
+                      timeout: float) -> Dict[str, Any]:
+        rid = next(self._ids)
+        frame = encode_frame(dict(payload, v=PROTOCOL_VERSION, id=rid))
+        return await self._exchange(rid, frame, timeout)
+
+    async def request_bin(self, build: Callable[[int], bytes],
+                          timeout: float) -> Tuple[int, bytes]:
+        """Send one binary frame (built with a fresh rid); (status, body)."""
+        rid = next(self._ids)
+        return await self._exchange(rid, build(rid), timeout)
+
+
+class _StreamConnection(_Connection):
+    """asyncio driver: id-correlated pipelining over a single socket.
+
+    Any number of requests wait on futures keyed by correlation id while
+    one buffered read loop demultiplexes the replies.
     """
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, max_frame: int):
+        super().__init__(max_frame)
         self.reader = reader
         self.writer = writer
-        self.max_frame = max_frame
-        self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
         self._reader_task = asyncio.ensure_future(self._read_loop())
-        self.broken = False
-        #: negotiated per connection via HELLO (see AequusClient._connection)
-        self.binary = False
 
     async def _read_loop(self) -> None:
         buf = bytearray()
@@ -120,37 +157,12 @@ class _Connection:
                     raise ConnectionError("connection closed by server")
                 buf += chunk
                 pos = 0
-                end = len(buf)
-                while pos < end:
-                    if buf[pos] == BIN_REP_MAGIC:
-                        if end - pos < BIN_HEADER.size:
-                            break
-                        (_, status, _flags, rid,
-                         body_len) = BIN_HEADER.unpack_from(buf, pos)
-                        if body_len > self.max_frame:
-                            raise ConnectionError("oversized binary reply")
-                        if end - pos < BIN_HEADER.size + body_len:
-                            break
-                        at = pos + BIN_HEADER.size
-                        body = bytes(buf[at:at + body_len])
-                        pos = at + body_len
-                        future = self._pending.pop(rid, None)
-                        if future is not None and not future.done():
-                            future.set_result((status, body))
-                    else:
-                        if end - pos < HEADER.size:
-                            break
-                        (length,) = HEADER.unpack_from(buf, pos)
-                        if length > self.max_frame:
-                            raise ConnectionError("oversized reply frame")
-                        if end - pos < HEADER.size + length:
-                            break
-                        at = pos + HEADER.size
-                        reply = decode_payload(bytes(buf[at:at + length]))
-                        pos = at + length
-                        future = self._pending.pop(reply.get("id"), None)
-                        if future is not None and not future.done():
-                            future.set_result(reply)
+                while (frame := split_reply(buf, pos, self.max_frame)):
+                    rid, reply, pos = frame
+                    # a reply whose request already timed out has no future
+                    future = self._pending.pop(rid, None)
+                    if future is not None and not future.done():
+                        future.set_result(reply)
                 del buf[:pos]
         except asyncio.CancelledError:
             self._fail_pending(ConnectionError("connection closed"))
@@ -173,9 +185,20 @@ class _Connection:
             future.set_exception(_RequestFailed(
                 sent=True, cause=asyncio.TimeoutError()))
 
-    async def _await_reply(self, rid: int, future: asyncio.Future,
-                           loop: asyncio.AbstractEventLoop,
-                           timeout: float) -> Any:
+    async def _exchange(self, rid: int, frame: bytes, timeout: float) -> Any:
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        self._pending[rid] = future
+        try:
+            self.writer.write(frame)
+        except (ConnectionError, OSError) as exc:
+            self._pending.pop(rid, None)
+            self.broken = True
+            raise _RequestFailed(sent=False, cause=exc) from exc
+        # only pay for drain() when the transport actually buffered up
+        # (the hot path writes straight through to the socket)
+        if self.writer.transport.get_write_buffer_size() > 65536:
+            await self.writer.drain()
         # a plain timer handle is far cheaper than asyncio.wait_for on a
         # hot path: pipelined reads pay it tens of thousands of times/s
         handle = loop.call_later(timeout, self._timeout_one, rid)
@@ -183,41 +206,6 @@ class _Connection:
             return await future
         finally:
             handle.cancel()
-
-    def _send(self, rid: int, frame: bytes,
-              future: asyncio.Future) -> None:
-        try:
-            self.writer.write(frame)
-            # only pay for drain() when the transport actually buffered up
-            # (the hot path writes straight through to the socket)
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(rid, None)
-            self.broken = True
-            raise _RequestFailed(sent=False, cause=exc) from exc
-
-    async def request(self, payload: Dict[str, Any],
-                      timeout: float) -> Dict[str, Any]:
-        rid = next(self._ids)
-        payload = dict(payload, v=PROTOCOL_VERSION, id=rid)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending[rid] = future
-        self._send(rid, encode_frame(payload), future)
-        if self.writer.transport.get_write_buffer_size() > 65536:
-            await self.writer.drain()
-        return await self._await_reply(rid, future, loop, timeout)
-
-    async def request_bin(self, build: Callable[[int], bytes],
-                          timeout: float) -> Tuple[int, bytes]:
-        """Send one binary frame (built with a fresh rid); (status, body)."""
-        rid = next(self._ids)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending[rid] = future
-        self._send(rid, build(rid), future)
-        if self.writer.transport.get_write_buffer_size() > 65536:
-            await self.writer.drain()
-        return await self._await_reply(rid, future, loop, timeout)
 
     async def close(self) -> None:
         self.broken = True
@@ -231,6 +219,54 @@ class _Connection:
             await self.writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+class _BlockingConnection(_Connection):
+    """Blocking driver: one request in flight, on the caller's thread.
+
+    Nothing here ever suspends, so a coroutine awaiting these methods
+    finishes in one ``send(None)`` (see :meth:`SyncAequusClient._run`).
+    """
+
+    def __init__(self, sock: socket.socket, max_frame: int):
+        super().__init__(max_frame)
+        self.sock = sock
+        self._buf = bytearray()
+
+    async def _exchange(self, rid: int, frame: bytes, timeout: float) -> Any:
+        # one deadline bounds the whole exchange, however many recv()s a
+        # large reply takes
+        deadline = time.monotonic() + timeout
+        buf = self._buf
+        sent = False
+        try:
+            self.sock.settimeout(timeout)
+            self.sock.sendall(frame)
+            sent = True
+            while True:
+                chunk = self.sock.recv(_READ_CHUNK)
+                if not chunk:
+                    raise ConnectionError("connection closed by server")
+                buf += chunk
+                pos = 0
+                while (found := split_reply(buf, pos, self.max_frame)):
+                    got, reply, pos = found
+                    if got == rid:
+                        del buf[:pos]
+                        return reply
+                    # not ours: the late reply to a request that timed out
+                del buf[:pos]
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    raise socket.timeout("timed out")
+                self.sock.settimeout(remaining)
+        except (OSError, ProtocolError) as exc:
+            self.broken = True
+            raise _RequestFailed(sent=sent, cause=exc) from exc
+
+    async def close(self) -> None:
+        self.broken = True
+        self.sock.close()
 
 
 class AequusClient:
@@ -267,6 +303,9 @@ class AequusClient:
         self._next_slot = itertools.count()
         #: user -> (leaf generation, leaf id), learned from binary replies
         self._leaf_ids: Dict[str, Tuple[int, int]] = {}
+        #: read-only view of the leaf ids learned so far
+        self.leaf_ids: Mapping[str, Tuple[int, int]] = MappingProxyType(
+            self._leaf_ids)
         self.registry = registry if registry is not None else MetricsRegistry(
             constant_labels={"component": "client"})
         events = self.registry.counter(
@@ -288,6 +327,7 @@ class AequusClient:
         await self.aclose()
 
     async def aclose(self) -> None:
+        """Close pooled connections (idempotent; a later request re-dials)."""
         for i, conn in enumerate(self._pool):
             if conn is not None:
                 await conn.close()
@@ -295,20 +335,24 @@ class AequusClient:
 
     # -- transport core --------------------------------------------------------
 
-    async def _connection(self, slot: int) -> _Connection:
-        conn = self._pool[slot]
-        if conn is not None and not conn.broken:
-            return conn  # hot path: no lock round trip for a live connection
+    async def _open(self) -> _Connection:
+        """Driver seam: dial one connection."""
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(self.host, self.port), self.timeout)
+        return _StreamConnection(reader, writer, self.max_frame)
+
+    #: driver seam: wait out a backoff
+    _sleep = staticmethod(asyncio.sleep)
+
+    async def _connect(self, slot: int) -> _Connection:
+        """(Re-)dial the slot's connection unless a peer task already did."""
         async with self._pool_locks[slot]:
             conn = self._pool[slot]
             if conn is None or conn.broken:
                 if conn is not None:
                     await conn.close()
                     self.stats["reconnects"] += 1
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    self.timeout)
-                conn = _Connection(reader, writer, self.max_frame)
+                conn = await self._open()
                 if self.binary:
                     await self._negotiate(conn)
                 self._pool[slot] = conn
@@ -320,11 +364,7 @@ class AequusClient:
             reply = await conn.request({"op": "HELLO"}, self.timeout)
         except _RequestFailed as exc:
             await conn.close()
-            cause = exc.cause
-            if isinstance(cause, (ConnectionError, OSError,
-                                  asyncio.TimeoutError)):
-                raise cause
-            raise ConnectionError(str(cause)) from cause
+            raise ConnectionError(f"HELLO failed: {exc.cause!r}") from exc
         if reply.get("ok") and int(reply.get("binary", 0)) >= 2:
             conn.binary = True
             self.stats["binary_upgrades"] += 1
@@ -334,41 +374,12 @@ class AequusClient:
         cap = min(self.backoff_max, self.backoff_base * (2 ** attempt))
         return self._rng.uniform(0.0, cap)
 
-    async def _call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one JSON request, reconnecting and retrying with backoff."""
-        self.stats["requests"] += 1
-        slot = next(self._next_slot) % self.pool_size
-        last: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self.stats["retries"] += 1
-                await asyncio.sleep(self._backoff(attempt - 1))
-            try:
-                conn = await self._connection(slot)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                last = exc
-                continue
-            try:
-                reply = await conn.request(payload, self.timeout)
-            except _RequestFailed as exc:
-                if exc.sent:
-                    self.stats["ambiguous_retries"] += 1
-                last = exc.cause
-                continue
-            if not reply.get("ok", False):
-                raise AequusServerError.from_reply(reply)
-            return reply
-        self.stats["transport_errors"] += 1
-        raise AequusTransportError(
-            f"aequusd at {self.host}:{self.port} unreachable after "
-            f"{self.retries + 1} attempts: {last}")
+    async def _attempt(self, send: Callable[[_Connection],
+                                            Optional[Awaitable[Any]]]) -> Any:
+        """One request, reconnecting and retrying with backoff.
 
-    async def _call_bin(self, build: Callable[[int], bytes]
-                        ) -> Optional[Tuple[int, bytes]]:
-        """Binary twin of :meth:`_call`.
-
-        Returns None when the negotiated connection turned out JSON-only
-        (the caller then falls back to the JSON op), else (status, body).
+        ``send`` starts the exchange on the connection it is handed, or
+        returns None to decline it (result None, nothing retried).
         """
         self.stats["requests"] += 1
         slot = next(self._next_slot) % self.pool_size
@@ -376,29 +387,53 @@ class AequusClient:
         for attempt in range(self.retries + 1):
             if attempt:
                 self.stats["retries"] += 1
-                await asyncio.sleep(self._backoff(attempt - 1))
-            try:
-                conn = await self._connection(slot)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                last = exc
-                continue
-            if not conn.binary:
+                await self._sleep(self._backoff(attempt - 1))
+            conn = self._pool[slot]
+            if conn is None or conn.broken:  # hot path: live, no lock trip
+                try:
+                    conn = await self._connect(slot)
+                except (ConnectionError, OSError,
+                        asyncio.TimeoutError) as exc:
+                    last = exc
+                    continue
+            exchange = send(conn)
+            if exchange is None:
                 return None
             try:
-                return await conn.request_bin(build, self.timeout)
+                return await exchange
             except _RequestFailed as exc:
                 if exc.sent:
                     self.stats["ambiguous_retries"] += 1
                 last = exc.cause
-                continue
         self.stats["transport_errors"] += 1
         raise AequusTransportError(
             f"aequusd at {self.host}:{self.port} unreachable after "
             f"{self.retries + 1} attempts: {last}")
 
-    def _raise_bin(self, status: int, body: bytes) -> None:
-        err = decode_bin_error(status, body)
-        raise AequusServerError(err["code"], err["message"])
+    async def _call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one JSON request; a structured error reply is raised."""
+        reply = await self._attempt(
+            lambda conn: conn.request(payload, self.timeout))
+        if not reply.get("ok", False):
+            raise AequusServerError.from_reply(reply)
+        return reply
+
+    async def _call_bin(self, build: Callable[[int], bytes],
+                        tolerate: Tuple[int, ...] = ()
+                        ) -> Optional[Tuple[int, bytes]]:
+        """Send one binary request: (status, body).
+
+        An error status outside ``tolerate`` is raised.  None when the
+        negotiated connection turned out JSON-only (the caller then falls
+        back to the JSON op).
+        """
+        res = await self._attempt(
+            lambda conn: conn.request_bin(build, self.timeout)
+            if conn.binary else None)
+        if res is not None and res[0] != BST_OK and res[0] not in tolerate:
+            err = decode_bin_error(*res)
+            raise AequusServerError(err["code"], err["message"])
+        return res
 
     def _remember_leaf(self, user: str, gen: int, leaf_id: int) -> None:
         if leaf_id == NO_LEAF_ID:
@@ -415,15 +450,13 @@ class AequusClient:
         if cached is not None:
             gen, leaf_id = cached
             res = await self._call_bin(
-                lambda rid: bin_get_fairshare_by_id(rid, gen, leaf_id))
+                lambda rid: bin_get_fairshare_by_id(rid, gen, leaf_id),
+                tolerate=(BST_EPOCH_CHANGED, BST_UNKNOWN_USER))
             if res is None:
                 return None
-            status, body = res
-            if status == BST_OK:
-                value, known, _seq, _gen, _leaf = BIN_FS_REPLY.unpack(body)
+            if res[0] == BST_OK:
+                value, known, _seq, _gen, _leaf = BIN_FS_REPLY.unpack(res[1])
                 return float(value), bool(known)
-            if status not in (BST_EPOCH_CHANGED, BST_UNKNOWN_USER):
-                self._raise_bin(status, body)
             # the leaf table moved under the cached id: re-resolve by name
             self.stats["epoch_changes"] += 1
             self._leaf_ids.pop(user, None)
@@ -431,10 +464,7 @@ class AequusClient:
             lambda rid: bin_get_fairshare_by_name(rid, user))
         if res is None:
             return None
-        status, body = res
-        if status != BST_OK:
-            self._raise_bin(status, body)
-        value, known, _seq, gen, leaf_id = BIN_FS_REPLY.unpack(body)
+        value, known, _seq, gen, leaf_id = BIN_FS_REPLY.unpack(res[1])
         if known:
             self._remember_leaf(user, gen, leaf_id)
         return float(value), bool(known)
@@ -461,9 +491,7 @@ class AequusClient:
             res = await self._call_bin(
                 lambda rid: bin_get_vector_by_name(rid, user))
             if res is not None:
-                status, body = res
-                if status != BST_OK:
-                    self._raise_bin(status, body)
+                body = res[1]
                 _seq, resolution, n = BIN_VEC_HEAD.unpack_from(body)
                 elems = struct.unpack_from(">%dd" % n, body,
                                            BIN_VEC_HEAD.size)
@@ -489,10 +517,7 @@ class AequusClient:
                 lambda rid: bin_report_usage(rid, user, float(start),
                                              float(end), int(cores)))
             if res is not None:
-                status, body = res
-                if status != BST_OK:
-                    self._raise_bin(status, body)
-                return bool(BIN_ACCEPTED.unpack(body)[0])
+                return bool(BIN_ACCEPTED.unpack(res[1])[0])
         reply = await self._call({"op": "REPORT_USAGE", "user": user,
                                   "start": start, "end": end, "cores": cores})
         return bool(reply["accepted"])
@@ -558,44 +583,34 @@ class AequusClient:
         todo = [u for u in users if u not in out]
         if not todo:
             return out
-        if len(gens) > 1:
-            # ids span a recompile: drop and let the name path re-mint them
-            self.stats["epoch_changes"] += 1
-            for user in todo:
-                self._leaf_ids.pop(user, None)
-            for user in todo:
-                single = await self._bin_lookup_fairshare(user)
-                if single is None:
-                    return None
-                out[user] = single
-            return out
-        gen = gens.pop()
-        ids = [self._leaf_ids[u][1] for u in todo]
-        res = await self._call_bin(
-            lambda rid: bin_batch_fairshare(rid, gen, ids))
-        if res is None:
-            return None
-        status, body = res
-        if status == BST_EPOCH_CHANGED:
-            self.stats["epoch_changes"] += 1
-            for user in todo:
-                self._leaf_ids.pop(user, None)
-            for user in todo:
-                single = await self._bin_lookup_fairshare(user)
-                if single is None:
-                    return None
-                out[user] = single
-            return out
-        if status != BST_OK:
-            self._raise_bin(status, body)
-        from .protocol import BIN_BATCH_REPLY_HEAD
-        _seq, _gen, count = BIN_BATCH_REPLY_HEAD.unpack_from(body)
-        values = struct.unpack_from(">%dd" % count, body,
-                                    BIN_BATCH_REPLY_HEAD.size)
-        flags_at = BIN_BATCH_REPLY_HEAD.size + 8 * count
-        knowns = body[flags_at:flags_at + count]
-        for user, value, known in zip(todo, values, knowns):
-            out[user] = (float(value), bool(known))
+        if len(gens) == 1:
+            gen = gens.pop()
+            ids = [self._leaf_ids[u][1] for u in todo]
+            res = await self._call_bin(
+                lambda rid: bin_batch_fairshare(rid, gen, ids),
+                tolerate=(BST_EPOCH_CHANGED,))
+            if res is None:
+                return None
+            status, body = res
+            if status == BST_OK:
+                _seq, _gen, count = BIN_BATCH_REPLY_HEAD.unpack_from(body)
+                values = struct.unpack_from(">%dd" % count, body,
+                                            BIN_BATCH_REPLY_HEAD.size)
+                flags_at = BIN_BATCH_REPLY_HEAD.size + 8 * count
+                knowns = body[flags_at:flags_at + count]
+                for user, value, known in zip(todo, values, knowns):
+                    out[user] = (float(value), bool(known))
+                return out
+        # the ids span a recompile, or the table moved under them: drop
+        # them and let the name path re-mint each
+        self.stats["epoch_changes"] += 1
+        for user in todo:
+            self._leaf_ids.pop(user, None)
+        for user in todo:
+            single = await self._bin_lookup_fairshare(user)
+            if single is None:
+                return None
+            out[user] = single
         return out
 
     async def batch_lookup_fairshare(self, users: Iterable[str]
@@ -616,44 +631,58 @@ class AequusClient:
         return out
 
 
+class _BlockingClient(AequusClient):
+    """The client's coroutines over connections that never suspend."""
+
+    async def _open(self) -> _Connection:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        # request/reply ping-pong: never wait to coalesce a lone frame
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return _BlockingConnection(sock, self.max_frame)
+
+    async def _sleep(self, delay: float) -> None:
+        time.sleep(delay)
+
+
+def _blocking(op: Callable[..., Coroutine[Any, Any, Any]]
+              ) -> Callable[..., Any]:
+    """Blocking twin of one :class:`AequusClient` operation: same
+    signature and docstring, the result instead of an awaitable."""
+
+    @functools.wraps(op)
+    def method(self: "SyncAequusClient", *args: Any, **kwargs: Any) -> Any:
+        return self._run(op(self._client, *args, **kwargs))
+    return method
+
+
 class SyncAequusClient:
-    """Blocking facade over :class:`AequusClient` (private loop thread).
+    """Blocking client: every request on the caller's thread, no loop.
 
     Implements the transport duck-type ``libaequus`` expects, so the
     existing RMS plugins can run over the socket path unmodified::
 
         lib = LibAequus.over_socket(SyncAequusClient(port=port), site="a")
+
+    Construction owns nothing; the first request dials.  Threads sharing
+    one instance are serialized (for overlap, use :class:`AequusClient`).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 4730,
                  **client_kwargs: Any):
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._loop.run_forever,
-                                        name="aequus-client", daemon=True)
-        self._thread.start()
-        self._client = self._run(self._make_client(host, port, client_kwargs))
+        self._client = _BlockingClient(host, port, **client_kwargs)
+        self._lock = threading.Lock()
+        self.stats = self._client.stats
+        self.leaf_ids = self._client.leaf_ids
 
-    @staticmethod
-    async def _make_client(host: str, port: int,
-                           kwargs: Dict[str, Any]) -> AequusClient:
-        # the client binds futures/locks to the running loop, so build it
-        # on the loop thread
-        return AequusClient(host, port, **kwargs)
-
-    def _run(self, coro: Any) -> Any:
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        if self._loop.is_closed():
-            return
-        try:
-            self._run(self._client.aclose())
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(5.0)
-            self._loop.close()
+    def _run(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Drive one client coroutine to completion without a loop."""
+        with self._lock:
+            try:
+                coro.send(None)
+            except StopIteration as done:
+                return done.value
+            coro.close()
+            raise RuntimeError("blocking client operation tried to suspend")
 
     def __enter__(self) -> "SyncAequusClient":
         return self
@@ -661,49 +690,19 @@ class SyncAequusClient:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        return self._client.stats
+    # -- mirrored API: AequusClient's operations, blocking --------------------
 
-    # -- mirrored API ----------------------------------------------------------
-
-    def lookup_fairshare(self, user: str) -> Tuple[float, bool]:
-        return self._run(self._client.lookup_fairshare(user))
-
-    def get_fairshare(self, user: str) -> float:
-        return self._run(self._client.get_fairshare(user))
-
-    def lookup_fairshare_detail(self, user: str) -> Dict[str, Any]:
-        return self._run(self._client.lookup_fairshare_detail(user))
-
-    def get_vector(self, user: str) -> FairshareVector:
-        return self._run(self._client.get_vector(user))
-
-    def resolve_identity(self, system_user: str) -> str:
-        return self._run(self._client.resolve_identity(system_user))
-
-    def report_usage(self, user: str, start: float, end: float,
-                     cores: int = 1) -> bool:
-        return self._run(self._client.report_usage(user, start, end, cores))
-
-    def ping(self, payload: Any = None) -> Dict[str, Any]:
-        return self._run(self._client.ping(payload))
-
-    def hello(self) -> Dict[str, Any]:
-        return self._run(self._client.hello())
-
-    def info(self) -> Dict[str, Any]:
-        return self._run(self._client.info())
-
-    def metrics(self) -> str:
-        return self._run(self._client.metrics())
-
-    def trace_export(self) -> Dict[str, Any]:
-        return self._run(self._client.trace_export())
-
-    def batch(self, requests: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        return self._run(self._client.batch(requests))
-
-    def batch_lookup_fairshare(self, users: Iterable[str]
-                               ) -> Dict[str, Tuple[float, bool]]:
-        return self._run(self._client.batch_lookup_fairshare(list(users)))
+    close = _blocking(AequusClient.aclose)
+    lookup_fairshare = _blocking(AequusClient.lookup_fairshare)
+    get_fairshare = _blocking(AequusClient.get_fairshare)
+    lookup_fairshare_detail = _blocking(AequusClient.lookup_fairshare_detail)
+    get_vector = _blocking(AequusClient.get_vector)
+    resolve_identity = _blocking(AequusClient.resolve_identity)
+    report_usage = _blocking(AequusClient.report_usage)
+    ping = _blocking(AequusClient.ping)
+    hello = _blocking(AequusClient.hello)
+    info = _blocking(AequusClient.info)
+    metrics = _blocking(AequusClient.metrics)
+    trace_export = _blocking(AequusClient.trace_export)
+    batch = _blocking(AequusClient.batch)
+    batch_lookup_fairshare = _blocking(AequusClient.batch_lookup_fairshare)

@@ -71,7 +71,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -95,6 +95,7 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "read_frame",
+    "split_reply",
     "error_reply",
     "ok_reply",
     "BIN_REQ_MAGIC",
@@ -356,7 +357,7 @@ async def read_bin_reply(reader: asyncio.StreamReader,
     """Read one binary reply frame: ``(status, flags, rid, body)``.
 
     Test/diagnostic helper — the production client parses replies out of
-    its buffered read loop instead.
+    its read buffer with :func:`split_reply` instead.
     """
     try:
         header = await reader.readexactly(BIN_HEADER.size)
@@ -372,3 +373,37 @@ async def read_bin_reply(reader: asyncio.StreamReader,
     except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
         raise ConnectionClosed("truncated frame") from exc
     return status, flags, rid, body
+
+
+def split_reply(buf: bytearray, pos: int, max_frame: int = MAX_FRAME_BYTES
+                ) -> Optional[Tuple[Any, Any, int]]:
+    """Parse the reply frame at ``buf[pos:]``: ``(rid, reply, end)``.
+
+    JSON and binary replies share one correlation-id space and are told
+    apart by their first byte; a JSON reply is the decoded dict, a binary
+    one ``(status, body)``.  None while the frame is still incomplete.
+    Raises :class:`FrameTooLarge` on a declared length beyond
+    ``max_frame`` and :class:`MalformedFrame` on an undecodable payload —
+    either way the stream can no longer be trusted.
+    """
+    avail = len(buf) - pos
+    if avail and buf[pos] == BIN_REP_MAGIC:
+        if avail < BIN_HEADER.size:
+            return None
+        _, status, _flags, rid, body_len = BIN_HEADER.unpack_from(buf, pos)
+        if body_len > max_frame:
+            raise FrameTooLarge(body_len, max_frame)
+        at = pos + BIN_HEADER.size
+        if len(buf) < at + body_len:
+            return None
+        return rid, (status, bytes(buf[at:at + body_len])), at + body_len
+    if avail < HEADER.size:
+        return None
+    (length,) = HEADER.unpack_from(buf, pos)
+    if length > max_frame:
+        raise FrameTooLarge(length, max_frame)
+    at = pos + HEADER.size
+    if len(buf) < at + length:
+        return None
+    reply = decode_payload(bytes(buf[at:at + length]))
+    return reply.get("id"), reply, at + length

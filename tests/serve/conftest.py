@@ -1,11 +1,18 @@
-"""Shared fixtures for serve-plane tests: one small served site per test."""
+"""Shared fixtures for serve-plane tests: one small served site per test,
+either client driver behind one factory, and a scriptable fake server."""
+
+import asyncio
+import contextlib
+import socket
+import threading
 
 import pytest
 
 from repro.core.policy import PolicyTree
 from repro.core.usage import UsageRecord
 from repro.serve.backend import SiteBackend
-from repro.serve.client import SyncAequusClient
+from repro.serve.client import AequusClient, SyncAequusClient
+from repro.serve.protocol import HEADER, decode_payload
 from repro.serve.server import AequusServer, ServerThread
 from repro.services.network import Network
 from repro.services.site import AequusSite, SiteConfig
@@ -52,3 +59,103 @@ def client(served):
     with SyncAequusClient(thread.host, thread.port, timeout=5.0,
                           retries=2, backoff_base=0.01) as c:
         yield c
+
+
+class LoopDriven:
+    """The pipelining :class:`AequusClient` behind blocking calls (its loop
+    runs on the calling thread), so one test body drives either client."""
+
+    def __init__(self, host, port, **kwargs):
+        self._loop = asyncio.new_event_loop()
+        self._client = AequusClient(host, port, **kwargs)
+        self.stats = self._client.stats
+        self.leaf_ids = self._client.leaf_ids
+
+    def __getattr__(self, name):
+        op = getattr(self._client, name)
+        return lambda *args, **kwargs: self._loop.run_until_complete(
+            op(*args, **kwargs))
+
+    def close(self):
+        if not self._loop.is_closed():
+            self._loop.run_until_complete(self._client.aclose())
+            self._loop.close()
+
+
+@pytest.fixture(params=["blocking", "pipelining"])
+def connect(request):
+    """``connect(host, port, **client_kwargs)`` for each of the two client
+    drivers in turn; whatever it handed out is closed at teardown."""
+    driver = SyncAequusClient if request.param == "blocking" else LoopDriven
+    made = []
+
+    def _connect(host, port, **kwargs):
+        made.append(driver(host, port, **kwargs))
+        return made[-1]
+
+    yield _connect
+    for made_client in made:
+        made_client.close()
+
+
+def _recv_exactly(sock, n):
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def read_json_request(sock):
+    """One JSON request frame off a blocking socket (None at EOF)."""
+    head = _recv_exactly(sock, HEADER.size)
+    body = head and _recv_exactly(sock, HEADER.unpack(head)[0])
+    return decode_payload(body) if body else None
+
+
+@contextlib.contextmanager
+def scripted_server(script):
+    """A listener that runs ``script(index, sock)`` on a thread for its
+    ``index``-th connection (then closes it); yields ``(host, port)``.
+
+    For faults no real aequusd produces on demand: garbage, late or
+    trickled replies.  Drive it with ``binary=False`` clients so every
+    request is a JSON frame :func:`read_json_request` can read.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stopping = threading.Event()
+    handlers = []
+
+    def _handle(index, sock):
+        with sock:
+            try:
+                script(index, sock)
+            except OSError:
+                pass  # the client hung up on a script still talking
+
+    def _accept():
+        while not stopping.is_set():
+            try:
+                sock, _ = listener.accept()
+            except socket.timeout:
+                continue
+            sock.settimeout(5.0)
+            handlers.append(threading.Thread(
+                target=_handle, args=(len(handlers), sock), daemon=True))
+            handlers[-1].start()
+
+    acceptor = threading.Thread(target=_accept, daemon=True)
+    acceptor.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        stopping.set()
+        acceptor.join(5.0)
+        listener.close()
+        for handler in handlers:
+            handler.join(5.0)
+        assert not acceptor.is_alive()
+        assert not any(handler.is_alive() for handler in handlers)

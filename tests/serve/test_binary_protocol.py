@@ -16,7 +16,8 @@ import random
 import pytest
 
 from repro.serve import server as server_module
-from repro.serve.client import AequusServerError, SyncAequusClient
+from repro.serve.client import (AequusServerError, AequusTransportError,
+                                SyncAequusClient)
 from repro.serve.protocol import (BF_BY_ID, BIN_HEADER, BIN_REQ_MAGIC,
                                   BOP_BATCH_FAIRSHARE, BOP_GET_FAIRSHARE,
                                   BOP_PING, BST_BAD_BATCH, BST_MALFORMED,
@@ -220,3 +221,99 @@ class TestFullJitterBackoff:
         samples = [client._backoff(30) for _ in range(100)]
         assert all(0.0 <= s <= 2.0 for s in samples)
         assert max(samples) > 1.0  # the cap (not the base) is in force
+
+
+class TestBothDrivers:
+    """The protocol logic is written once; the blocking and the pipelining
+    driver must walk the same matrix (``connect`` yields each in turn)."""
+
+    def test_binary_server_upgrades_and_goes_by_leaf_id(self, served,
+                                                        connect):
+        _, site, thread = served
+        client = connect(thread.host, thread.port, timeout=5.0)
+        first = client.lookup_fairshare("alice")
+        assert first == (site.fcs.fairshare_value("alice"), True)
+        assert set(client.leaf_ids) == {"alice"}
+        assert client.lookup_fairshare("alice") == first  # by leaf id now
+        assert client.get_vector("alice") == site.fcs.vector("alice")
+        assert client.report_usage("bob", 0.0, 10.0) is True
+        assert client.stats["binary_upgrades"] >= 1
+        assert thread.server.stats["binary_requests"] >= 4
+        with pytest.raises(TypeError):
+            client.leaf_ids["mallory"] = (0, 0)  # a view, not the cache
+
+    def test_json_only_server_falls_back(self, small_site, connect):
+        from repro.serve.backend import SiteBackend
+        _, site = small_site
+        thread = ServerThread(AequusServer(SiteBackend.for_site(site),
+                                           binary=False)).start()
+        try:
+            client = connect(thread.host, thread.port, timeout=5.0)
+            assert client.hello()["binary"] == 0
+            assert client.lookup_fairshare("alice")[1] is True
+            assert client.get_vector("alice").elements
+            assert client.report_usage("alice", 0.0, 10.0) is True
+            assert client.batch_lookup_fairshare(
+                ["alice", "bob"])["bob"][1] is True
+            assert client.stats["binary_upgrades"] == 0
+            assert not client.leaf_ids
+            assert thread.server.stats["binary_requests"] == 0
+            client.close()
+        finally:
+            thread.stop()
+
+    def test_pre_hello_server_falls_back(self, served, connect, monkeypatch):
+        _, _, thread = served
+        monkeypatch.setattr(
+            server_module, "OPS",
+            frozenset(op for op in server_module.OPS if op != "HELLO"))
+        client = connect(thread.host, thread.port, timeout=5.0)
+        assert client.lookup_fairshare("alice")[1] is True
+        assert client.stats["binary_upgrades"] == 0
+
+    def test_epoch_changed_re_resolves_the_leaf_id(self, served, connect):
+        engine, site, thread = served
+        client = connect(thread.host, thread.port, timeout=5.0)
+        client.lookup_fairshare("alice")
+        stale = client.leaf_ids["alice"]
+        site.pds.set_share("/hpc/eve", 5)  # recompile: every old id dies
+        engine.run_until(engine.now
+                         + site.config.fcs_refresh_interval + 1.0)
+        assert client.lookup_fairshare("alice") == \
+            (site.fcs.fairshare_value("alice"), True)
+        assert client.stats["epoch_changes"] == 1
+        assert client.leaf_ids["alice"][0] != stale[0]
+        assert client.lookup_fairshare("eve")[1] is True
+
+    def test_batch_recovers_from_recompile(self, served, connect):
+        engine, site, thread = served
+        client = connect(thread.host, thread.port, timeout=5.0)
+        users = ["alice", "bob", "carol", "dave"]
+        assert all(known for _, known in
+                   client.batch_lookup_fairshare(users).values())
+        site.pds.set_share("/astro/fred", 2)
+        engine.run_until(engine.now
+                         + site.config.fcs_refresh_interval + 1.0)
+        second = client.batch_lookup_fairshare(users)
+        assert second == {u: (site.fcs.fairshare_value(u), True)
+                          for u in users}
+        assert client.stats["epoch_changes"] >= 1
+
+    def test_retries_sleep_full_jitter_draws(self, connect):
+        """Every retry waits a uniform draw from [0, min(max, base * 2^k)]
+        — observed through the injected rng, whichever driver sleeps."""
+        draws = []
+
+        class Recording(random.Random):
+            def uniform(self, low, high):
+                draws.append((low, high))
+                return 0.0  # do not actually wait
+
+        client = connect("127.0.0.1", 1, timeout=0.2, retries=6,
+                         backoff_base=0.05, backoff_max=1.0,
+                         rng=Recording())
+        with pytest.raises(AequusTransportError):
+            client.ping()
+        assert draws == [(0.0, min(1.0, 0.05 * 2 ** k)) for k in range(6)]
+        assert client.stats["retries"] == 6
+        assert client.stats["transport_errors"] == 1

@@ -13,10 +13,13 @@ import time
 import pytest
 
 from repro.serve.backend import SiteBackend
-from repro.serve.client import SyncAequusClient
-from repro.serve.protocol import (ERR_MALFORMED, ERR_OVERSIZED, HEADER,
-                                  encode_frame, read_frame)
+from repro.serve.client import AequusTransportError, SyncAequusClient
+from repro.serve.protocol import (BIN_HEADER, BIN_REP_MAGIC, ERR_MALFORMED,
+                                  ERR_OVERSIZED, HEADER, MAX_FRAME_BYTES,
+                                  encode_frame, ok_reply, read_frame)
 from repro.serve.server import AequusServer, ServerThread
+
+from .conftest import read_json_request, scripted_server
 
 
 def raw_exchange(host, port, blobs, expect_replies, timeout=5.0):
@@ -225,3 +228,150 @@ class TestSlowClientBackpressure:
             assert len(values) == 50
         finally:
             thread.stop()
+
+
+def _pong(request):
+    """The reply a healthy aequusd gives a PING (payload echoed)."""
+    return encode_frame(ok_reply(request["id"], pong=True,
+                                 payload=request.get("payload")))
+
+
+def _answer_pings(sock):
+    while (request := read_json_request(sock)) is not None:
+        sock.sendall(_pong(request))
+
+
+class TestFaultyRepliesBothDrivers:
+    """Reply-side faults against a scripted server, walked by the blocking
+    and the pipelining driver alike (``connect`` yields each in turn).
+
+    Clients run ``binary=False``: no HELLO, every request a JSON frame.
+    """
+
+    KWARGS = dict(binary=False, pool_size=1, retries=2, backoff_base=0.01)
+
+    @pytest.mark.parametrize("garbage", [
+        HEADER.pack(9) + b"not json{",
+        HEADER.pack(MAX_FRAME_BYTES + 1),
+        BIN_HEADER.pack(BIN_REP_MAGIC, 0, 0, 1, MAX_FRAME_BYTES + 1),
+    ], ids=["malformed", "oversized-json", "oversized-binary"])
+    def test_garbage_reply_breaks_the_connection_and_is_retried(
+            self, connect, garbage):
+        def script(index, sock):
+            if index == 0:
+                read_json_request(sock)
+                sock.sendall(garbage)
+                read_json_request(sock)  # hold open until the client leaves
+            else:
+                _answer_pings(sock)
+
+        with scripted_server(script) as (host, port):
+            client = connect(host, port, timeout=2.0, **self.KWARGS)
+            assert client.ping("x")["payload"] == "x"
+            assert client.stats["ambiguous_retries"] == 1
+            assert client.stats["reconnects"] == 1
+            assert client.stats["transport_errors"] == 0
+            client.close()
+
+    def test_timeout_redials_and_counts_the_ambiguity(self, connect):
+        def script(index, sock):
+            if index == 0:
+                read_json_request(sock)
+                read_json_request(sock)  # never answers; waits for the hangup
+            else:
+                _answer_pings(sock)
+
+        with scripted_server(script) as (host, port):
+            client = connect(host, port, timeout=0.2, **self.KWARGS)
+            started = time.monotonic()
+            assert client.ping()["pong"] is True
+            assert time.monotonic() - started >= 0.2
+            assert client.stats["requests"] == 1
+            assert client.stats["retries"] == 1
+            assert client.stats["ambiguous_retries"] == 1
+            assert client.stats["reconnects"] == 1
+            client.close()
+
+    def test_late_reply_is_never_taken_for_the_next_request(self, connect):
+        def script(index, sock):
+            if index == 0:
+                request = read_json_request(sock)
+                time.sleep(0.5)  # past the client's timeout
+                sock.sendall(_pong(dict(request, payload="late")))
+            _answer_pings(sock)
+
+        with scripted_server(script) as (host, port):
+            client = connect(host, port, timeout=0.2, **self.KWARGS)
+            assert client.ping("first")["payload"] == "first"
+            time.sleep(0.5)  # the late frame is on the wire by now
+            assert client.ping("second")["payload"] == "second"
+            assert client.stats["ambiguous_retries"] == 1
+            client.close()
+
+    def test_reply_is_matched_by_id_not_by_arrival(self, connect):
+        def script(index, sock):
+            while (request := read_json_request(sock)) is not None:
+                stale = dict(request, id=request["id"] + 1000,
+                             payload="stale")
+                sock.sendall(_pong(stale) + _pong(request))
+
+        with scripted_server(script) as (host, port):
+            client = connect(host, port, timeout=2.0, **self.KWARGS)
+            for word in ("one", "two", "three"):
+                assert client.ping(word)["payload"] == word
+            assert client.stats["retries"] == 0
+            client.close()
+
+    def test_multi_chunk_reply_is_bounded_by_one_deadline(self, connect):
+        """A reply trickling in faster than one timeout per chunk, but for
+        longer than one timeout in all, must time out (METRICS is the op
+        whose reply spans many reads)."""
+        text = "x" * 400
+
+        def script(index, sock):
+            request = read_json_request(sock)
+            frame = encode_frame(ok_reply(request["id"], text=text))
+            for i in range(0, len(frame), 8):  # ~2.5 s in all
+                sock.sendall(frame[i:i + 8])
+                time.sleep(0.05)
+
+        with scripted_server(script) as (host, port):
+            client = connect(host, port, timeout=0.3,
+                             **dict(self.KWARGS, retries=0))
+            started = time.monotonic()
+            with pytest.raises(AequusTransportError):
+                client.metrics()
+            assert time.monotonic() - started < 1.5
+            assert client.stats["ambiguous_retries"] == 1
+            client.close()
+
+
+class TestRestartUnderLoadBothDrivers:
+    def test_requests_in_flight_at_kill_time_are_retried(self, small_site,
+                                                         connect):
+        import threading
+        _, site = small_site
+        backend = SiteBackend.for_site(site)
+        thread = ServerThread(AequusServer(backend)).start()
+        port = thread.port
+        client = connect(thread.host, port, timeout=2.0, retries=8,
+                         backoff_base=0.05)
+        client.ping()  # warm the pool
+        results = []
+
+        def hammer():
+            for _ in range(40):
+                results.append(client.get_fairshare("alice"))
+
+        worker = threading.Thread(target=hammer)
+        worker.start()
+        thread.stop()  # rip the server out mid-stream
+        thread2 = ServerThread(AequusServer(backend, port=port)).start()
+        try:
+            worker.join(30.0)
+            assert not worker.is_alive()
+            assert results == [site.fcs.fairshare_value("alice")] * 40
+            assert client.stats["transport_errors"] == 0
+            client.close()
+        finally:
+            thread2.stop()

@@ -1,6 +1,10 @@
 """End-to-end server/client tests over a real TCP connection."""
 
 import asyncio
+import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -210,3 +214,104 @@ class TestFreshnessSurface:
 
         reply = asyncio.run(go())
         assert reply["horizons"] == site.fcs.usage_horizons()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestBlockingClientOwnsNoThreadOrLoop:
+    def test_use_starts_no_thread_and_no_event_loop(self, served,
+                                                    monkeypatch):
+        _, site, thread = served
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the blocking client must not need this")
+
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        monkeypatch.setattr(asyncio, "new_event_loop", forbidden)
+        with SyncAequusClient(thread.host, thread.port) as client:
+            assert client.get_fairshare("alice") == \
+                site.fcs.fairshare_value("alice")
+            assert client.batch_lookup_fairshare(["alice", "bob"])
+            assert "aequus_requests_total" in client.metrics()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc to count descriptors")
+    def test_create_use_close_cycles_leak_nothing(self, served):
+        _, _, thread = served
+        with SyncAequusClient(thread.host, thread.port) as warm:
+            warm.get_fairshare("alice")  # one-off lazy imports, caches
+        threads, fds = threading.active_count(), _open_fds()
+        for _ in range(200):
+            client = SyncAequusClient(thread.host, thread.port)
+            client.get_fairshare("alice")
+            client.close()
+            client.close()  # idempotent
+        with pytest.raises(ValueError):
+            SyncAequusClient(thread.host, thread.port, pool_size=0)
+        unreachable = SyncAequusClient("127.0.0.1", 1, timeout=0.2,
+                                       retries=0)
+        with pytest.raises(AequusTransportError):
+            unreachable.ping()
+        unreachable.close()  # safe after a connect that never succeeded
+        assert threading.active_count() == threads
+        # the in-process server drops its ends of the 200 sockets a moment
+        # after the client does
+        deadline = time.monotonic() + 5.0
+        while _open_fds() > fds and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _open_fds() <= fds
+
+    def test_a_closed_client_redials_on_the_next_request(self, served):
+        _, site, thread = served
+        client = SyncAequusClient(thread.host, thread.port)
+        client.close()  # before any connection existed
+        assert client.get_fairshare("alice") == \
+            site.fcs.fairshare_value("alice")
+        client.close()
+        assert client.get_fairshare("alice") == \
+            site.fcs.fairshare_value("alice")
+        client.close()
+
+
+class TestThreadsSharingOneBlockingClient:
+    def test_concurrent_gets_equal_batch_and_requests_are_exact(self,
+                                                                served):
+        _, _, thread = served
+        users = ["alice", "bob", "carol", "dave"]
+        n_threads, per_thread = 8, 2000
+        with SyncAequusClient(thread.host, thread.port,
+                              timeout=30.0) as client:
+            # the site is quiescent: one snapshot seq for the whole test
+            seq = client.lookup_fairshare_detail("alice")["seq"]
+            expected = client.batch_lookup_fairshare(users)
+            before = client.stats["requests"]
+            wrong = []
+
+            def hammer(k):
+                for i in range(per_thread):
+                    user = users[(i + k) % len(users)]
+                    got = client.lookup_fairshare(user)
+                    if got != expected[user]:
+                        wrong.append((user, got))
+
+            workers = [threading.Thread(target=hammer, args=(k,))
+                       for k in range(n_threads)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # provoke interleavings
+            try:
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+            assert wrong == []
+            # a lost update on the shared counter, or a request retried
+            # behind the caller's back, would break the exact count
+            assert client.stats["requests"] - before == \
+                n_threads * per_thread
+            assert client.stats["retries"] == 0
+            assert client.lookup_fairshare_detail("alice")["seq"] == seq
