@@ -71,9 +71,10 @@ class _StubPDS:
 
 
 class _StubUMS:
-    """Alternating usage vectors so every refresh is a digest miss —
-    the instrumented compile/rollup/project path, not the cached-epoch
-    fast path."""
+    """Alternating usage vectors so every refresh is a cache miss — the
+    instrumented compile/rollup/project path, not the cached-epoch fast
+    path.  Implements the UMS interface the FCS reads; always draining
+    ``(True, {})`` makes each refresh a full refold and full kernel pass."""
 
     def __init__(self, policy, seed=0):
         rng = np.random.default_rng(seed)
@@ -84,9 +85,27 @@ class _StubUMS:
             for _ in range(2)]
         self.calls = 0
 
-    def usage_totals(self):
+    def register_totals_cursor(self):
+        return 1
+
+    def release_totals_cursor(self, cursor):
+        pass
+
+    def drain_totals_changes(self, cursor):
         self.calls += 1
+        return True, {}
+
+    def usage_totals_base(self):
         return self._variants[self.calls % len(self._variants)]
+
+    def usage_scale(self):
+        return 1.0
+
+    def usage_horizons(self):
+        return {}
+
+    def drain_applied_traces(self):
+        return []
 
 
 def _build_fcs(n_users):

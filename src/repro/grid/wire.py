@@ -9,25 +9,30 @@ set of tooling can eyeball both).  The payload is an envelope::
 
 ``src``/``dst`` are transport endpoint names (the USS registers
 ``uss:<site>``); ``type`` selects the dataclass and ``data`` carries its
-fields verbatim — except :class:`UsageExchangeMessage.snapshot`, whose
-integer bin keys JSON forces to strings and :func:`decode_frame` converts
-back.
+fields verbatim: the one usage format (:class:`UsageDeltaMessage`) or a
+resync request.
 
 The length prefix is validated against ``MAX_FRAME_BYTES`` before the
 payload is read, so a broken or adversarial peer cannot make a daemon
-buffer an arbitrarily large frame.  Malformed payloads raise
-:class:`WireError`; the transport counts and drops them rather than
+buffer an arbitrarily large frame, and a well-framed delta is checked for
+consistency (:func:`_check_delta`) before the USS sees it — the receiver
+advances sequence and horizon before applying the arrays, so a bad index
+would fault half-way through on the engine thread.  Malformed payloads
+raise :class:`WireError`; the transport counts and drops them rather than
 letting one bad peer kill the receive loop.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from array import array
 from typing import Any, Tuple
 
-from ..services.messages import (UsageDeltaMessage, UsageExchangeMessage,
-                                 UsageResyncRequest)
+import numpy as np
+
+from ..services.messages import UsageDeltaMessage, UsageResyncRequest
 
 __all__ = ["GRID_WIRE_VERSION", "MAX_FRAME_BYTES", "WireError",
            "encode_frame", "decode_frame"]
@@ -39,7 +44,6 @@ _LEN = struct.Struct(">I")
 #: the only payload classes allowed on the grid wire
 _TYPES = {
     "UsageDeltaMessage": UsageDeltaMessage,
-    "UsageExchangeMessage": UsageExchangeMessage,
     "UsageResyncRequest": UsageResyncRequest,
 }
 
@@ -77,18 +81,50 @@ def decode_frame(payload: bytes) -> Tuple[str, str, Any]:
     data = envelope.get("data")
     if not isinstance(data, dict):
         raise WireError("missing data object")
-    if cls is UsageExchangeMessage:
-        # JSON stringified the integer bin keys of the dict-of-dict
-        # snapshot; restore them so histogram application sees ints
-        snapshot = data.get("snapshot") or {}
-        data = dict(data, snapshot={
-            user: {int(b): float(v) for b, v in bins.items()}
-            for user, bins in snapshot.items()})
     try:
         message = cls(**data)
-    except TypeError as exc:
+        if cls is UsageDeltaMessage:
+            _check_delta(message)
+    except (TypeError, OverflowError) as exc:
         raise WireError(f"bad {name} fields: {exc}") from exc
     return str(envelope.get("src", "")), str(envelope.get("dst", "")), message
+
+
+def _number(x: Any) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _check_delta(m: UsageDeltaMessage) -> None:
+    """Reject a delta whose fields would fault or corrupt state on apply.
+
+    ``array`` is the strict typed conversion: it raises on a non-integer,
+    negative or wider-than-4-byte index (the range the cost model prices,
+    so a bin midpoint always fits a float) and on a non-numeric charge.
+    """
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise WireError(f"bad UsageDeltaMessage: {what}")
+
+    require(type(m.site) is str and type(m.full) is bool
+            and type(m.seq) is int and _number(m.sent_at)
+            and _number(m.interval)
+            and (m.horizon is None or _number(m.horizon))
+            and (m.boot is None or type(m.boot) is str)
+            and (m.tctx is None or type(m.tctx) is dict), "header fields")
+    require(all(type(c) is list for c in
+                (m.user_table, m.user_idx, m.bin_idx, m.charges))
+            and len(m.user_idx) == len(m.bin_idx) == len(m.charges),
+            "columns differ in length")
+    require(set(map(type, m.user_table)) <= {str}, "non-string user")
+    if not m.charges:
+        return
+    array("i", m.bin_idx)  # conversion is the check: raises, or fits
+    user_idx = np.frombuffer(array("I", m.user_idx), dtype="I")
+    require(user_idx.max() < len(m.user_table),
+            "user index outside user_table")
+    charges = np.frombuffer(array("d", m.charges))
+    require(np.isfinite(charges).all() and charges.min() >= 0,
+            "charge not a finite non-negative number")
 
 
 def frame_length(header: bytes) -> int:

@@ -20,8 +20,7 @@ from ..obs.registry import MetricsRegistry
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
-__all__ = ["TTLCache", "CacheStats", "RegistryCacheStats", "usage_digest",
-           "LeafValueMap"]
+__all__ = ["TTLCache", "CacheStats", "RegistryCacheStats", "LeafValueMap"]
 
 
 class LeafValueMap(Mapping):
@@ -81,19 +80,6 @@ class LeafValueMap(Mapping):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LeafValueMap({len(self._paths)} leaves)"
-
-
-def usage_digest(totals: Mapping[str, float]) -> frozenset:
-    """Exact, order-independent digest of per-user usage totals.
-
-    The FCS skips an entire refresh when the policy epoch and this digest
-    are unchanged (idle sites would otherwise rebuild identical trees every
-    period).  A frozenset compares by exact element equality, so a digest
-    hit can never be a hash collision (a wrongly skipped recomputation);
-    the comparison is a plain set-equality check, orders of magnitude
-    cheaper than the tree computation it gates.
-    """
-    return frozenset(totals.items())
 
 
 @dataclass

@@ -13,28 +13,33 @@ The refresh itself runs on the array-backed kernel (:mod:`repro.core.flat`)
 and is **incremental end to end** (DESIGN.md §12):
 
 * *Usage*: the FCS subscribes to the UMS's totals cursor and folds only the
-  users whose base totals changed into its alias-folded usage state — a
-  monotone ``usage_version`` counter replaces the per-refresh O(users)
-  frozenset digest.  Pure decay aging moves the UMS's global scale, not the
-  bases; usage shares (and therefore priorities and projected values) are
-  scale-invariant, so an idle site under exponential decay now *hits* the
-  refresh cache instead of recomputing every period.
+  users whose base totals changed into its alias-folded usage state; a
+  monotone ``usage_version`` counter bumps exactly when the fold moves, and
+  ``(policy epoch, usage_version)`` is the refresh-cache key.  Pure decay
+  aging moves the UMS's global scale, not the bases; usage shares (and
+  therefore priorities and projected values) are scale-invariant, so an
+  idle site under exponential decay *hits* the refresh cache instead of
+  recomputing every period.
 * *Policy*: on an epoch change the FCS asks the policy tree for its edit
   journal since the last compile and splices the compiled arrays
   (:meth:`~repro.core.flat.FlatPolicy.recompile`) instead of recompiling
   from scratch; weight-only edits keep the layout (and the serve plane's
-  leaf ids) intact.  Structural or journal-exhausted changes fall back to
-  a full compile.  The chosen path is counted in
+  leaf ids) intact.  The first compile, a journal gap and a structural
+  overflow take the full compile.  The chosen path is counted in
   ``aequus_compile_total{kind=full|incremental|fallback}``.
 * *Compute*: with the layout unchanged, only the dirty leaves' ancestor
   chains and their sibling groups are re-evaluated
-  (:meth:`~repro.core.flat.FlatPolicy.compute_delta`); the touched-node
-  fraction of each miss is exported as a gauge.
+  (:meth:`~repro.core.flat.FlatPolicy.compute_delta`); a changed layout or
+  a fold resync takes the full kernel pass.  The touched-node fraction of
+  each miss is exported as a gauge.
 
 Hits and misses are tracked in
-:attr:`FairshareCalculationService.refresh_stats`.  UMS stand-ins without
-the cursor API (benchmark harnesses, stubs) transparently get the legacy
-digest-and-full-compute path.
+:attr:`FairshareCalculationService.refresh_stats`.  The full compile and
+full kernel pass are also what a freshly constructed FCS runs on its first
+refresh, so a cold start over the same PDS and UMS is the oracle for the
+incremental paths.  UMS stand-ins (tests, benchmarks) implement the same
+totals-cursor interface; one that always drains ``(True, {})`` gets a full
+refold per refresh.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from ..core.vector import FairshareVector
 from ..obs import trace
 from ..obs.registry import AGE_BUCKETS, MetricsRegistry, metric_property
 from ..sim.engine import PeriodicTask, SimulationEngine
-from .cache import LeafValueMap, RegistryCacheStats, usage_digest
+from .cache import LeafValueMap, RegistryCacheStats
 from .pds import PolicyDistributionService
 from .ums import UsageMonitoringService
 
@@ -75,7 +80,6 @@ class FairshareCalculationService:
                  unknown_user_value: float = 0.5,
                  identity_map: Optional[Dict[str, str]] = None,
                  start_offset: float = 0.0,
-                 incremental: bool = True,
                  registry: Optional[MetricsRegistry] = None):
         self.site = site
         self.engine = engine
@@ -151,24 +155,15 @@ class FairshareCalculationService:
         self._tree_cache: Optional[FairshareTree] = None
         self._values: Mapping[str, float] = {}
         self._values_vec: Optional["np.ndarray"] = None
-        # -- incremental usage fold (UMSes exposing the totals-cursor API) --
-        #: kill switch: ``incremental=False`` forces the legacy
-        #: digest-and-full-compute refresh on every round
-        self.incremental = incremental
-        self._ums_cursor: Optional[int] = None
-        register = getattr(ums, "register_totals_cursor", None)
-        if incremental and register is not None \
-                and hasattr(ums, "usage_totals_base") \
-                and hasattr(ums, "usage_scale"):
-            self._ums_cursor = register()
+        # -- incremental usage fold ------------------------------------------
+        self._ums_cursor: Optional[int] = ums.register_totals_cursor()
         #: alias-folded scale-invariant usage (policy key -> base total)
         self._fold: Dict[str, float] = {}
         #: users currently contributing to each alias-targeted key
         self._key_users: Dict[str, Set[str]] = {}
         self._alias_keys: Set[str] = set(self.identity_map.values())
         self._fold_invalid = True
-        #: monotone usage state counter — the incremental replacement for
-        #: the frozenset digest; bumps exactly when the fold changes
+        #: monotone usage state counter; bumps exactly when the fold changes
         self._usage_version = 0
         #: base usage per compiled leaf row (None until first compile)
         self._leaf_base: Optional[np.ndarray] = None
@@ -202,13 +197,11 @@ class FairshareCalculationService:
             # claim the wire trace ids the UMS folded in since our last
             # refresh: they annotate this span and the snapshot.publish
             # child, completing the cross-daemon causal chain
-            drain = getattr(self.ums, "drain_applied_traces", None)
-            if drain is not None:
-                traces = drain()
-                if traces:
-                    self._pending_traces.extend(traces)
-                    if sp is not None:
-                        sp["traces"] = traces
+            traces = self.ums.drain_applied_traces()
+            if traces:
+                self._pending_traces.extend(traces)
+                if sp is not None:
+                    sp["traces"] = traces
             self._refresh(timed, sp)
         if timed:
             self.last_refresh_seconds = time.perf_counter() - t_start
@@ -216,24 +209,11 @@ class FairshareCalculationService:
 
     def _refresh(self, timed: bool, sp: Optional[Dict] = None) -> None:
         epoch = self.pds.policy_epoch()
-        if self._ums_cursor is not None:
-            # incremental usage state: fold only the users whose base
-            # totals changed; the monotone version counter IS the digest
-            changed_keys = self._update_fold()
-            scale = self.ums.usage_scale()
-            refresh_key = (epoch, self._usage_version)
-        else:
-            # legacy stub-UMS path: usage is recorded under external grid
-            # identities; fold aliases onto policy leaves and digest the
-            # folded totals exactly
-            totals: Dict[str, float] = {}
-            for user, value in self.ums.usage_totals().items():
-                key = self.identity_map.get(user, user)
-                totals[key] = totals.get(key, 0.0) + value
-            self._fold = totals
-            changed_keys = None
-            scale = 1.0
-            refresh_key = (epoch, usage_digest(totals))
+        # fold only the users whose base totals changed; the monotone
+        # version counter stands for the whole usage state in the cache key
+        changed_keys = self._update_fold()
+        scale = self.ums.usage_scale()
+        refresh_key = (epoch, self._usage_version)
         if self._result is not None and refresh_key == self._refresh_key:
             # idle fast path: same policy epoch, same usage state — shares,
             # priorities and projected values are scale-invariant, so pure
@@ -267,10 +247,7 @@ class FairshareCalculationService:
             self._compile_full(policy, epoch, timed, kind="full")
             layout_changed = True
         elif epoch != self._flat_epoch:
-            if not self.incremental:
-                self._compile_full(policy, epoch, timed, kind="full")
-                layout_changed = True
-            elif policy.revision != self._flat_revision:
+            if policy.revision != self._flat_revision:
                 edits = policy.edits_since(self._flat_revision)
                 spliced = None
                 if edits:
@@ -483,13 +460,9 @@ class FairshareCalculationService:
 
         On a cached-epoch hit the *values* are unchanged but the horizons
         still advance (idle origins keep heartbeating), so the capture
-        runs on both refresh paths.  Stub UMSes without horizon support
-        (benchmark isolation harnesses) leave the set empty.
+        runs on both refresh paths.
         """
-        getter = getattr(self.ums, "usage_horizons", None)
-        if getter is None:
-            return
-        horizons = getter()
+        horizons = self.ums.usage_horizons()
         self._horizons = horizons
         if self.registry.enabled and horizons:
             now = self.engine.now
@@ -656,7 +629,5 @@ class FairshareCalculationService:
             self._task.cancel()
             self._task = None
         if self._ums_cursor is not None:
-            release = getattr(self.ums, "release_totals_cursor", None)
-            if release is not None:
-                release(self._ums_cursor)
+            self.ums.release_totals_cursor(self._ums_cursor)
             self._ums_cursor = None

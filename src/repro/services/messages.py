@@ -11,15 +11,18 @@ under the cost model below), which the network layer accumulates into
 :class:`repro.services.network.NetworkStats` — the paper's "compact form"
 claim is thereby a measured quantity rather than an assertion.
 
+Usage crosses sites in one format, :class:`UsageDeltaMessage`: packed
+parallel arrays of changed (user, bin) entries, ``full=True`` marking a
+complete-state snapshot (first publish, resync reply).
+
 Wire cost model (documented in DESIGN.md §7): 8-byte message envelope,
 8 bytes per float (timestamps, charges), 4 bytes per integer (bin indexes,
 user indexes, sequence numbers), 1 byte per flag, UTF-8 strings with a
-2-byte length prefix, and — the distinction the compact format exists to
-exploit — 8 bytes of structural framing per *map entry*.  Generic map
-serializations (SOAP/XML tags in the original Java services, JSON keys,
-protobuf map submessages) pay per-entry structure that packed parallel
-primitive arrays do not; pricing it makes the dict-of-dict snapshot and
-the array delta comparable by shape, not just by element count.
+2-byte length prefix, and 8 bytes of structural framing per *map entry* —
+the per-entry structure generic map serializations (SOAP/XML tags in the
+original Java services, JSON keys, protobuf map submessages) pay and
+packed parallel primitive arrays do not.  Only the optional trace context
+is a map; a usage entry costs two integers and a float.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["UsageExchangeMessage", "UsageDeltaMessage", "UsageResyncRequest",
-           "PolicyExportMessage"]
+__all__ = ["UsageDeltaMessage", "UsageResyncRequest", "PolicyExportMessage"]
 
 _ENVELOPE = 8
 _FLOAT = 8
@@ -54,49 +56,6 @@ def _tctx_bytes(tctx: Optional[Dict[str, Any]]) -> int:
     return sum(_MAP_ENTRY + _str_bytes(k)
                + (_str_bytes(v) if isinstance(v, str) else _FLOAT)
                for k, v in tctx.items())
-
-
-@dataclass(frozen=True)
-class UsageExchangeMessage:
-    """Full per-user histogram state relayed between USS instances.
-
-    Per paper Section II-A: the combined usage of each user on each site,
-    omitting the details of individual jobs — i.e. per-user histogram bins,
-    not job records.  This dict-of-dict full snapshot is the original
-    (pre-delta) exchange format; it remains the reference the delta
-    protocol is benchmarked and property-tested against.
-    """
-
-    site: str
-    sent_at: float
-    interval: float
-    snapshot: Dict[str, Dict[int, float]]
-    #: origin usage watermark: all of the sender's local usage up to this
-    #: virtual time is reflected in the payload.  ``None`` (legacy senders,
-    #: hand-built test messages) means "assume sent_at".
-    horizon: Optional[float] = None
-    #: sender incarnation id (see :class:`UsageDeltaMessage`)
-    boot: Optional[str] = None
-    #: compact trace context (see :class:`UsageDeltaMessage`)
-    tctx: Optional[Dict[str, Any]] = None
-
-    @property
-    def usage_horizon(self) -> float:
-        return self.sent_at if self.horizon is None else self.horizon
-
-    def total_charge(self) -> float:
-        return sum(sum(bins.values()) for bins in self.snapshot.values())
-
-    def wire_entries(self) -> int:
-        return sum(len(bins) for bins in self.snapshot.values())
-
-    def wire_bytes(self) -> int:
-        return (_ENVELOPE + _str_bytes(self.site) + 3 * _FLOAT
-                + (_str_bytes(self.boot) if self.boot else 0)
-                + _tctx_bytes(self.tctx)
-                + sum(_str_bytes(u) + _MAP_ENTRY
-                      + len(bins) * (_INT + _FLOAT + _MAP_ENTRY)
-                      for u, bins in self.snapshot.items()))
 
 
 @dataclass(frozen=True)
@@ -135,10 +94,9 @@ class UsageDeltaMessage:
     #: sender *incarnation* id, fixed for one USS lifetime.  A receiver
     #: that sees the id change knows the peer restarted and its sequence
     #: space reset — without it, a restarted sender's publishes (seq back
-    #: at 1, sent_at back near 0 on a fresh engine) are indistinguishable
-    #: from stale reordered traffic and would be silently dropped forever.
-    #: ``None`` (legacy senders, hand-built test messages) disables the
-    #: check, preserving the original semantics.
+    #: at 1) are indistinguishable from stale reordered traffic and would
+    #: be silently dropped forever.  ``None`` (hand-built test messages)
+    #: disables the check.
     boot: Optional[str] = None
     #: compact trace context stamped at publish (DESIGN.md §14): origin
     #: site, a fleet-unique trace id (``site-boot-seq``), the publish

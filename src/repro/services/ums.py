@@ -15,9 +15,13 @@ multiply by ``0.5**(Δt/half_life)`` (``decay.weight(Δt)``); with
 :class:`~repro.core.decay.NoDecay` the factor is 1.  Users whose newest
 bin midpoint still lies in the future of the previous refresh (the ages
 were clamped at zero) stay in a "young" set and are recomputed until the
-midpoint has passed, keeping the shift exact.  Decay families whose
-weights are not multiplicative in age (linear, window, step) fall back to
-the full per-user recompute every refresh, as does the priming refresh.
+midpoint has passed, keeping the shift exact.
+
+The full merge-and-decay pass (:meth:`_full_refresh`) runs on the priming
+refresh and, for decay families whose weights are not multiplicative in
+age (linear, window, step), on every refresh — read off the decay function
+(:attr:`incremental`), not configured.  Priming is also the test oracle: a
+UMS constructed now over the same USSs must serve a long-lived one's totals.
 
 The analytic shift is applied as one *global scale scalar* (DESIGN.md
 §12), not a per-user multiply: cached totals are stored as
@@ -70,7 +74,6 @@ class UsageMonitoringService:
                  decay: Optional[DecayFunction] = None,
                  refresh_interval: float = 30.0,
                  consider_remote: bool = True,
-                 incremental: bool = True,
                  start_offset: float = 0.0,
                  registry: Optional[MetricsRegistry] = None):
         if not sources:
@@ -100,11 +103,7 @@ class UsageMonitoringService:
         self._refresh_hist = self.registry.histogram(
             "aequus_ums_refresh_seconds",
             "Wall time of one UMS refresh").labels()
-        # the analytic age shift is exact only for decays multiplicative in
-        # age; other families recompute every user each refresh
-        self.incremental = incremental and isinstance(
-            self.decay, (ExponentialDecay, NoDecay))
-        self._cursors: List[Optional[int]] = [None] * len(self.sources)
+        self._cursors: List[int] = []
         if self.incremental:
             self._cursors = [
                 uss.register_usage_cursor(include_remote=consider_remote)
@@ -135,6 +134,12 @@ class UsageMonitoringService:
             refresh_interval, self.refresh, start_offset=start_offset)
         self.refresh()
 
+    @property
+    def incremental(self) -> bool:
+        """Whether the decay is multiplicative in age, so the analytic age
+        shift is exact; other families recompute every user each refresh."""
+        return isinstance(self.decay, (ExponentialDecay, NoDecay))
+
     refreshes = metric_property("refreshes")
     #: refreshes that went through the full merge-and-decay path
     full_refreshes = metric_property("full_refreshes")
@@ -154,18 +159,14 @@ class UsageMonitoringService:
             # span's args and queue up for the FCS to claim
             traces: List[str] = []
             for uss in self.sources:
-                drain = getattr(uss, "drain_applied_traces", None)
-                if drain is not None:
-                    traces.extend(drain())
+                traces.extend(uss.drain_applied_traces())
             if traces:
                 self._applied_traces.extend(traces)
                 if sp is not None:
                     sp["traces"] = traces
             dirty: Set[str] = set()
-            if self.incremental:
-                for uss, cursor in zip(self.sources, self._cursors):
-                    if cursor is not None:
-                        dirty |= uss.drain_dirty_users(cursor)
+            for uss, cursor in zip(self.sources, self._cursors):
+                dirty |= uss.drain_dirty_users(cursor)
             if not self.incremental or not self._primed:
                 self._full_refresh(now)
             else:
@@ -177,7 +178,7 @@ class UsageMonitoringService:
             self._refresh_hist.observe(time.perf_counter() - t0)
 
     def _full_refresh(self, now: float) -> None:
-        """Merge every histogram and re-decay every user (reference path)."""
+        """Merge every histogram and re-decay every user."""
         totals: Dict[str, float] = {}
         for uss in self.sources:
             merged = uss.global_usage(include_remote=self.consider_remote)
@@ -360,8 +361,6 @@ class UsageMonitoringService:
         if self._task is not None:
             self._task.cancel()
             self._task = None
-        if self.incremental:
-            for uss, cursor in zip(self.sources, self._cursors):
-                if cursor is not None:
-                    uss.release_usage_cursor(cursor)
-            self._cursors = [None] * len(self.sources)
+        for uss, cursor in zip(self.sources, self._cursors):
+            uss.release_usage_cursor(cursor)
+        self._cursors = []

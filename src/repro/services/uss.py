@@ -6,18 +6,20 @@ is also the *only* inter-site channel: Aequus instances "communicate only
 by exchanging data through the USS services", relaying per-user histogram
 snapshots rather than individual job records.
 
-Exchange protocol (DESIGN.md §7).  By default the USS is **incremental**:
-each publish carries only the (user, bin) entries that changed since the
-previous publish, as absolute bin values in the compact array format of
+Exchange protocol (DESIGN.md §7) — there is one: each publish carries
+only the (user, bin) entries that changed since the previous publish, as
+absolute bin values in the compact array format of
 :class:`~repro.services.messages.UsageDeltaMessage`.  Publishes are
 numbered consecutively (``seq``); the first publish — and every resync
 reply — is a ``full=True`` complete-state snapshot.  A receiver applies a
 delta only when it extends its last applied sequence by exactly one;
-older messages are dropped as stale (network jitter can reorder them) and
-a gap (partition, drop, late join) triggers a
+older messages are dropped as stale (network jitter can reorder them;
+ordering is by ``seq`` alone, never by the sender's clock) and a gap
+(partition, drop, late join, restart) triggers a
 :class:`~repro.services.messages.UsageResyncRequest`, answered with a full
-snapshot.  ``delta_exchange=False`` restores the original
-full-snapshot-every-tick behaviour, retained as the measured reference.
+snapshot.  The reference the protocol is tested against is the sender
+itself: once traffic has quiesced, a peer's ``remote[site].snapshot()``
+equals that site's ``local.snapshot()`` exactly.
 
 Participation is asymmetric by design: a site may publish without
 consuming or vice versa — the partial-participation experiment
@@ -49,7 +51,7 @@ from ..core.usage import UsageHistogram, UsageRecord
 from ..obs import trace
 from ..obs.registry import AGE_BUCKETS, MetricsRegistry, metric_property
 from ..sim.engine import PeriodicTask, SimulationEngine
-from .messages import UsageDeltaMessage, UsageExchangeMessage, UsageResyncRequest
+from .messages import UsageDeltaMessage, UsageResyncRequest
 from .network import Network
 
 __all__ = ["UsageStatisticsService"]
@@ -62,7 +64,6 @@ class UsageStatisticsService:
                  histogram_interval: float = 60.0,
                  exchange_interval: float = 30.0,
                  publish: bool = True,
-                 delta_exchange: bool = True,
                  prune_horizon: Optional[float] = None,
                  start_offset: float = 0.0,
                  registry: Optional[MetricsRegistry] = None,
@@ -71,7 +72,6 @@ class UsageStatisticsService:
         self.engine = engine
         self.network = network
         self.publish = publish
-        self.delta_exchange = delta_exchange
         self.exchange_interval = exchange_interval
         #: optional history horizon: bins entirely older than this are
         #: dropped at each exchange tick (bounds long-run memory)
@@ -103,6 +103,7 @@ class UsageStatisticsService:
             "exchanges_received": exchanges.labels(event="received"),
             "exchanges_stale": exchanges.labels(event="stale"),
             "exchanges_skipped": exchanges.labels(event="skipped"),
+            "interval_mismatch": exchanges.labels(event="interval_mismatch"),
             "resyncs_requested": resyncs.labels(event="requested"),
             "resyncs_served": resyncs.labels(event="served"),
             "peer_restarts": self.registry.counter(
@@ -140,11 +141,10 @@ class UsageStatisticsService:
         #: out instead of leaking.
         self._applied_traces: Deque[str] = deque(maxlen=256)
         self._exchange_cursor: Optional[int] = None
-        if delta_exchange and publish:
+        if publish:
             self._exchange_cursor = self.local.register_cursor()
         #: receiver state per remote site
         self._recv_seq: Dict[str, int] = {}
-        self._recv_sent_at: Dict[str, float] = {}
         self._recv_boot: Dict[str, str] = {}
         #: per-origin usage high-watermark (virtual time) — advanced by
         #: applied messages and current-seq heartbeats, never across gaps
@@ -170,6 +170,9 @@ class UsageStatisticsService:
     #: publish ticks with no changed entries — only a sequence-number
     #: heartbeat goes out, letting silent peers detect missed deltas
     exchanges_skipped = metric_property("exchanges_skipped")
+    #: usage messages dropped for a foreign histogram interval (a
+    #: misconfigured peer would otherwise just look partitioned)
+    interval_mismatch = metric_property("interval_mismatch")
     resyncs_requested = metric_property("resyncs_requested")
     resyncs_served = metric_property("resyncs_served")
     #: peer incarnation changes detected (daemon restarts with reset seq)
@@ -242,18 +245,7 @@ class UsageStatisticsService:
                 child.observe(max(0.0, now - horizon))
         if not self.publish or not self.peers:
             return
-        if not self.delta_exchange:
-            message = UsageExchangeMessage(
-                site=self.site,
-                sent_at=self.engine.now,
-                interval=self.local.interval,
-                snapshot=self.local.snapshot(),
-                horizon=self.engine.now,
-                boot=self.boot_id,
-                tctx=self._make_tctx(),
-            )
-        else:
-            message = self._build_delta()
+        message = self._build_delta()
         tctx = message.tctx
         if tctx is None:
             self._send_to_peers(message)
@@ -347,12 +339,10 @@ class UsageStatisticsService:
             return
         if message.interval != self.local.interval:
             # Sites must agree on the histogram interval for bins to align;
-            # mismatched configurations are dropped (and visible in stats).
+            # mismatched configurations are dropped, and counted
+            self._metrics["interval_mismatch"].inc()
             return
-        if isinstance(message, UsageDeltaMessage):
-            self._on_delta(message)
-        else:
-            self._on_full_snapshot(message)
+        self._on_delta(message)
 
     def _remote_histogram(self, site: str) -> UsageHistogram:
         """The persistent per-site histogram, created on first contact.
@@ -377,10 +367,10 @@ class UsageStatisticsService:
     def _note_boot(self, site: str, boot: Optional[str]) -> bool:
         """Track a peer's incarnation; True when it changed (restart).
 
-        A restarted peer's sequence numbers and ``sent_at`` clock start
-        over, so every receiver-side ordering cursor for it is reset —
-        otherwise its publishes would compare as stale against the dead
-        incarnation's high-watermarks and be dropped forever.  The normal
+        A restarted peer's sequence numbers start over, so the
+        receiver-side sequence cursor for it is reset — otherwise its
+        publishes would compare as stale against the dead incarnation's
+        high-watermark and be dropped forever.  The normal
         gap logic then repairs state: a non-full first contact triggers a
         :class:`~repro.services.messages.UsageResyncRequest`, a full
         snapshot applies directly.
@@ -393,29 +383,7 @@ class UsageStatisticsService:
             return False
         self._metrics["peer_restarts"].inc()
         self._recv_seq[site] = 0
-        self._recv_sent_at.pop(site, None)
         return True
-
-    def _on_full_snapshot(self, message: UsageExchangeMessage) -> None:
-        """Legacy dict-of-dict full snapshot (``delta_exchange=False`` peers)."""
-        self._note_boot(message.site, message.boot)
-        last = self._recv_sent_at.get(message.site)
-        if last is not None and message.sent_at < last:
-            self._metrics["exchanges_stale"].inc()
-            return
-        self._recv_sent_at[message.site] = message.sent_at
-        self._metrics["exchanges_received"].inc()
-        self._note_horizon(message.site, message.usage_horizon)
-        tctx = message.tctx
-        if tctx is None:
-            self._remote_histogram(message.site).replace(message.snapshot)
-            return
-        with trace.span("uss.apply", trace=tctx.get("id"),
-                        origin=message.site, site=self.site, full=True,
-                        origin_pid=tctx.get("pid"),
-                        origin_vts=tctx.get("vts")):
-            self._remote_histogram(message.site).replace(message.snapshot)
-        self._note_applied_trace(tctx)
 
     def _on_delta(self, message: UsageDeltaMessage) -> None:
         self._note_boot(message.site, message.boot)
@@ -449,7 +417,6 @@ class UsageStatisticsService:
                                        target=message.site))
                 return
         self._recv_seq[message.site] = message.seq
-        self._recv_sent_at[message.site] = message.sent_at
         self._note_horizon(message.site, message.usage_horizon)
         self._metrics["exchanges_received"].inc()
         tctx = message.tctx
@@ -471,7 +438,7 @@ class UsageStatisticsService:
         self._note_applied_trace(tctx)
 
     def _serve_resync(self, request: UsageResyncRequest) -> None:
-        if not self.publish or not self.delta_exchange:
+        if not self.publish:
             return
         self._metrics["resyncs_served"].inc()
         # current state at the current sequence number; an in-flight delta
@@ -576,33 +543,15 @@ class UsageStatisticsService:
             if hist is not None:
                 hist.release_cursor(hist_cursor)
 
-    def decayed_user_total(self, user: str, now: float, decay: DecayFunction,
-                           include_remote: bool = True) -> Optional[float]:
-        """One user's decayed usage across local (+ remote) histograms.
-
-        Returns None when the user holds no bins anywhere — the caller
-        drops them from its cache, matching the full-recompute view.
-        """
-        total = 0.0
-        found = False
-        if self.local.has_user(user):
-            total += self.local.decayed_total(user, now, decay)
-            found = True
-        if include_remote:
-            for hist in self.remote.values():
-                if hist.has_user(user):
-                    total += hist.decayed_total(user, now, decay)
-                    found = True
-        return total if found else None
-
     def decayed_user_totals(self, users: Sequence[str], now: float,
                             decay: DecayFunction,
                             include_remote: bool = True) -> Dict[str, float]:
-        """Batched :meth:`decayed_user_total` (one 2-D pass per histogram).
+        """Decayed usage of ``users`` across local (+ remote) histograms,
+        one 2-D pass per histogram.
 
         Users absent from every tracked histogram are absent from the
-        result — the caller drops them, matching the per-user API's
-        ``None``.
+        result — the caller drops them from its cache, matching what a
+        full merge would show.
         """
         totals: Dict[str, float] = {}
         histograms = [self.local]
@@ -629,22 +578,9 @@ class UsageStatisticsService:
                     mids[user] = m
         return mids
 
-    def newest_user_midpoint(self, user: str,
-                             include_remote: bool = True) -> Optional[float]:
-        """Newest bin midpoint for a user across tracked histograms."""
-        mids = []
-        m = self.local.newest_midpoint(user)
-        if m is not None:
-            mids.append(m)
-        if include_remote:
-            for hist in self.remote.values():
-                m = hist.newest_midpoint(user)
-                if m is not None:
-                    mids.append(m)
-        return max(mids) if mids else None
-
     def newest_user_midpoints(self, include_remote: bool = True) -> Dict[str, float]:
-        """``newest_user_midpoint`` for every known user in one pass."""
+        """Newest bin midpoint of every known user across tracked
+        histograms, in one pass."""
         mids = dict(self.local.newest_midpoints())
         if include_remote:
             for hist in self.remote.values():

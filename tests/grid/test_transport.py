@@ -171,6 +171,64 @@ class TestResilience:
         finally:
             a.close()
 
+    def test_inconsistent_delta_between_good_frames_is_dropped(self):
+        """A well-framed delta whose arrays disagree used to reach the USS:
+        it advanced ``_recv_seq`` and the horizon, then ``apply_arrays``
+        raised on the engine thread inside ``pump``.  Now the frame dies at
+        the wire boundary, is counted once, and leaves the receiver exactly
+        where the good frames alone put it."""
+        import json
+        import socket
+        import struct
+
+        from repro.grid.wire import encode_frame
+        from repro.services.network import Network
+        from repro.services.uss import UsageStatisticsService
+        from repro.sim.engine import SimulationEngine
+
+        def good(seq, charge, horizon):
+            return UsageDeltaMessage(
+                site="a", sent_at=horizon, interval=60.0, seq=seq,
+                full=(seq == 1), user_table=["u"], user_idx=[0], bin_idx=[0],
+                charges=[charge], horizon=horizon, boot="b1")
+
+        first, last = good(1, 10.0, 5.0), good(2, 20.0, 15.0)
+        payload = json.dumps({
+            "v": 1, "src": "uss:a", "dst": "uss:b",
+            "type": "UsageDeltaMessage",
+            "data": dict(last.__dict__, user_table=["x"], user_idx=[5],
+                         horizon=99.0)}).encode()
+        bad = struct.pack(">I", len(payload)) + payload
+
+        engine = SimulationEngine()
+        transport = TcpUssTransport("b").start()
+        try:
+            uss = UsageStatisticsService("b", engine, transport,
+                                         histogram_interval=60.0)
+            with socket.create_connection(("127.0.0.1",
+                                           transport.port)) as sock:
+                sock.sendall(encode_frame("uss:a", "uss:b", first) + bad
+                             + encode_frame("uss:a", "uss:b", last))
+                assert wait_for(lambda: transport.pending() == 2)
+            assert transport.pump() == 2   # must not raise
+            dropped = {k[0]: c.value
+                       for k, c in transport._frames_dropped.items()}
+            assert dropped["decode_error"] == 1
+
+            sim = SimulationEngine()
+            expected = UsageStatisticsService("b", sim, Network(sim),
+                                              histogram_interval=60.0)
+            expected._on_message(first)
+            expected._on_message(last)
+            assert uss._recv_seq == expected._recv_seq == {"a": 2}
+            assert uss.usage_horizons(True)["a"] \
+                == expected.usage_horizons(True)["a"] == 15.0
+            assert uss.remote["a"].snapshot() \
+                == expected.remote["a"].snapshot() == {"u": {0: 20.0}}
+            assert uss.exchanges_received == 2
+        finally:
+            transport.close()
+
     def test_close_idempotent(self):
         a = TcpUssTransport("a").start()
         a.close()

@@ -1,14 +1,15 @@
 """Property-based tests for the incremental refresh machinery (PR 7).
 
-Three layers, each checked against its from-scratch reference:
+Three layers, each checked against its from-scratch computation:
 
 * the policy edit journal + :meth:`FlatPolicy.recompile` splice chain —
   randomized edit schedules must end at the same compiled semantics as a
   fresh compile of the final tree;
 * :meth:`FlatPolicy.compute_delta` — dirty-leaf updates chained over
   random usage churn must match a full kernel pass at 1e-9;
-* the full FCS stack — an incremental site and an ``incremental=False``
-  site driven identically must serve the same values.
+* the full UMS → FCS stack — after every step of a random job / weight /
+  add / remove schedule a long-lived site must serve what a stack
+  cold-started at that instant serves (``tests/conftest.py::cold_start``).
 
 Plus the serve-plane invariant the PR promises: weight-only edits keep
 the compiled layout (leaf row ids and leaf generation) intact.
@@ -31,6 +32,8 @@ from repro.services.pds import PolicyDistributionService
 from repro.services.ums import UsageMonitoringService
 from repro.services.uss import UsageStatisticsService
 from repro.sim.engine import SimulationEngine
+
+from ..conftest import cold_start
 
 GROUPS = ["phys", "chem", "bio"]
 USERS_PER_GROUP = 4
@@ -187,20 +190,19 @@ class TestComputeDeltaEquivalence:
                                        atol=1e-9)
 
 
-def build_stack(incremental: bool):
+def build_stack(histogram_interval=600.0):
     engine = SimulationEngine()
     network = Network(engine, base_latency=0.1)
     uss = UsageStatisticsService("a", engine, network,
-                                 histogram_interval=600.0, publish=False)
+                                 histogram_interval=histogram_interval,
+                                 publish=False)
     ums = UsageMonitoringService("a", engine, [uss],
                                  decay=ExponentialDecay(half_life=3600.0),
-                                 refresh_interval=10.0,
-                                 incremental=incremental)
+                                 refresh_interval=10.0)
     pds = PolicyDistributionService("a", engine, base_policy(),
                                     refresh_interval=3600.0)
     fcs = FairshareCalculationService("a", engine, pds, ums,
-                                      refresh_interval=10.0,
-                                      incremental=incremental)
+                                      refresh_interval=10.0)
     return engine, uss, pds, fcs
 
 
@@ -216,9 +218,38 @@ class TestServiceStackEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(st.lists(stack_ops, min_size=1, max_size=15))
     def test_incremental_stack_matches_reference(self, ops):
-        def drive(engine, uss, pds):
+        """The reference is a cold start: after *every* step the
+        long-lived stack (dirty-user UMS refresh, journal-spliced policy,
+        dirty-segment kernel pass) equals a UMS + FCS built at that
+        instant over the same USS and PDS."""
+        # 20 s bins: a job's newest bin midpoint passes within a refresh
+        # or two, so users move through dirty -> young -> age-shifted
+        # instead of staying young (recomputed) for the whole schedule
+        engine, uss, pds, fcs = build_stack(histogram_interval=20.0)
+
+        def check():
+            with cold_start(fcs.ums, fcs) as (cold_ums, cold):
+                totals, want_totals = (fcs.ums.usage_totals(),
+                                       cold_ums.usage_totals())
+                assert set(totals) == set(want_totals)
+                for user in want_totals:
+                    assert totals[user] == pytest.approx(
+                        want_totals[user], rel=1e-9, abs=1e-9)
+                values, want = fcs.values(), cold.values()
+                assert set(values) == set(want)
+                for path in want:
+                    assert values[path] == pytest.approx(want[path],
+                                                         abs=1e-9)
+                    assert fcs.priority(path) == pytest.approx(
+                        cold.priority(path), abs=1e-9)
+                assert fcs.names_view() == cold.names_view()
+
+        try:
             for kind, g, i, w in ops:
+                # the t = 10k refreshes (UMS, then FCS) fold in the
+                # previous step's change; the cold stack sees it directly
                 engine.run_until(engine.now + 10.0)
+                check()
                 group = GROUPS[g]
                 if kind == "job":
                     t = engine.now
@@ -233,27 +264,20 @@ class TestServiceStackEquivalence:
                     path = f"/{group}/{group}{i}"
                     if pds.policy().find(path) is not None:
                         pds.policy().remove_path(path)
-            engine.run_until(engine.now + 20.0)
-
-        ei, ui, pi, fi = build_stack(True)
-        ef, uf, pf, ff = build_stack(False)
-        try:
-            drive(ei, ui, pi)
-            drive(ef, uf, pf)
-            vi, vf = fi.values(), ff.values()
-            assert set(vi) == set(vf)
-            for path in vf:
-                assert vi[path] == pytest.approx(vf[path], abs=1e-9)
-                assert fi.priority(path) == pytest.approx(
-                    ff.priority(path), abs=1e-9)
+            for _ in range(2):
+                engine.run_until(engine.now + 10.0)
+                check()
+            if any(kind == "job" for kind, *_ in ops):
+                assert fcs.ums.users_shifted > 0
         finally:
-            for svc in (fi, ff, pi, pf):
-                svc.stop()
+            fcs.stop()
+            fcs.ums.stop()
+            pds.stop()
 
     def test_weight_only_edit_keeps_leaf_generation(self):
         """The serve-plane stability promise: a pure weight change must
         not invalidate published integer leaf ids."""
-        engine, uss, pds, fcs = build_stack(True)
+        engine, uss, pds, fcs = build_stack()
         try:
             engine.run_until(20.0)
             generation = fcs.leaf_generation
@@ -277,7 +301,7 @@ class TestServiceStackEquivalence:
     def test_idle_decay_refreshes_hit_the_cache(self):
         """Pure decay aging moves the UMS scale, not the fold: idle sites
         under exponential decay now hit instead of recomputing."""
-        engine, uss, pds, fcs = build_stack(True)
+        engine, uss, pds, fcs = build_stack()
         try:
             uss.record_job(UsageRecord(user="phys0", site="a",
                                        start=0.0, end=5.0))

@@ -314,18 +314,49 @@ class TestFreshnessHorizons:
         assert 'origin="b"' in text
 
     def test_stub_ums_without_horizons_is_tolerated(self):
-        """Benchmark harnesses drive the FCS with minimal UMS stubs; the
-        horizon capture must degrade to an empty set, not crash."""
+        """Benchmark harnesses drive the FCS with minimal UMS stand-ins.
+        They implement the one interface the FCS reads — a stub that
+        always drains ``(True, {})`` gets a full refold per refresh — and
+        one with no horizons to report leaves the set empty."""
         engine = SimulationEngine()
 
         class StubUMS:
-            def usage_totals(self):
-                return {"alice": 10.0}
+            totals = {"alice": 10.0, "bob": 30.0}
 
-        policy = PolicyTree.from_dict({"alice": 1})
+            def register_totals_cursor(self):
+                return 1
+
+            def drain_totals_changes(self, cursor):
+                return True, {}
+
+            def release_totals_cursor(self, cursor):
+                pass
+
+            def usage_totals_base(self):
+                return self.totals
+
+            def usage_scale(self):
+                return 1.0
+
+            def usage_horizons(self):
+                return {}
+
+            def drain_applied_traces(self):
+                return []
+
+        policy = PolicyTree.from_dict({"alice": 1, "bob": 1})
         pds = PolicyDistributionService("a", engine, policy=policy,
                                         refresh_interval=100.0)
-        fcs = FairshareCalculationService("a", engine, pds=pds,
-                                          ums=StubUMS(),
+        stub = StubUMS()
+        fcs = FairshareCalculationService("a", engine, pds=pds, ums=stub,
                                           refresh_interval=5.0)
         assert fcs.usage_horizons() == {}
+        assert fcs.fairshare_value("alice") > fcs.fairshare_value("bob")
+        # an unchanged refold is a cache hit; a changed one recomputes
+        engine.run_until(5.0)
+        assert fcs.refresh_stats.hits >= 1 and fcs.refresh_stats.misses == 1
+        stub.totals = {"alice": 50.0, "bob": 30.0}
+        engine.run_until(10.0)
+        assert fcs.refresh_stats.misses == 2
+        assert fcs.fairshare_value("alice") < fcs.fairshare_value("bob")
+        fcs.stop()

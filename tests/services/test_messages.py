@@ -1,45 +1,27 @@
 """Unit tests for the service message payloads."""
 
+import pytest
+
 from repro.core.policy import parse_policy
+from repro.services import messages
 from repro.services.messages import (PolicyExportMessage, UsageDeltaMessage,
-                                     UsageExchangeMessage, UsageResyncRequest)
-
-
-class TestUsageExchangeMessage:
-    def test_total_charge(self):
-        msg = UsageExchangeMessage(
-            site="a", sent_at=0.0, interval=60.0,
-            snapshot={"u1": {0: 10.0, 1: 20.0}, "u2": {0: 5.0}})
-        assert msg.total_charge() == 35.0
-
-    def test_empty_snapshot(self):
-        msg = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                   snapshot={})
-        assert msg.total_charge() == 0.0
-
-    def test_frozen(self):
-        msg = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                   snapshot={})
-        try:
-            msg.site = "b"
-            assert False, "should be immutable"
-        except AttributeError:
-            pass
+                                     UsageResyncRequest)
 
 
 class TestUsageExchangeWireAccounting:
+    """The exchange plane's modelled wire cost (``NetworkStats`` sums it)."""
+
+    def entries(self, n_bins):
+        return UsageDeltaMessage(
+            site="a", sent_at=0.0, interval=60.0, seq=1, full=True,
+            user_table=["u"], user_idx=[0] * n_bins,
+            bin_idx=list(range(n_bins)), charges=[1.0] * n_bins)
+
     def test_wire_entries_counts_bins(self):
-        msg = UsageExchangeMessage(
-            site="a", sent_at=0.0, interval=60.0,
-            snapshot={"u1": {0: 10.0, 1: 20.0}, "u2": {0: 5.0}})
-        assert msg.wire_entries() == 3
+        assert self.entries(3).wire_entries() == 3
 
     def test_wire_bytes_grow_with_payload(self):
-        small = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                     snapshot={"u": {0: 1.0}})
-        big = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                   snapshot={"u": {b: 1.0 for b in range(10)}})
-        assert small.wire_bytes() < big.wire_bytes()
+        assert self.entries(1).wire_bytes() < self.entries(10).wire_bytes()
 
 
 class TestUsageDeltaMessage:
@@ -61,27 +43,24 @@ class TestUsageDeltaMessage:
         assert hb.wire_entries() == 0
         assert hb.wire_bytes() < 50
 
+    def test_frozen(self):
+        """Payloads are plain immutable data: a message handed to several
+        peers' handlers cannot be altered by one of them."""
+        with pytest.raises(AttributeError):
+            self.delta().site = "b"
+
     def test_array_format_more_compact_than_dicts_at_equal_content(self):
         """Packed arrays skip the per-map-entry framing that dict-of-dict
-        serializations pay, so at identical content the array form is
-        strictly smaller."""
-        snapshot = {f"grid-user-{u:04d}": {b: float(b) for b in range(4)}
-                    for u in range(50)}
-        legacy = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                      snapshot=snapshot)
-        user_table = list(snapshot)
-        user_idx, bin_idx, charges = [], [], []
-        for i, bins in enumerate(snapshot.values()):
-            for b, c in bins.items():
-                user_idx.append(i)
-                bin_idx.append(b)
-                charges.append(c)
-        arrays = UsageDeltaMessage(
-            site="a", sent_at=0.0, interval=60.0, seq=1, full=True,
-            user_table=user_table, user_idx=user_idx, bin_idx=bin_idx,
-            charges=charges)
-        assert arrays.wire_entries() == legacy.wire_entries()
-        assert arrays.wire_bytes() < legacy.wire_bytes()
+        serializations pay: one more (user, bin) entry for a user already
+        in the table costs two integers and a float, less than the same
+        entry as a map item under the module's own cost model."""
+        base = self.delta()
+        more = self.delta(user_idx=[0, 0, 1, 1], bin_idx=[0, 1, 0, 1],
+                          charges=[10.0, 20.0, 5.0, 1.0])
+        per_entry = more.wire_bytes() - base.wire_bytes()
+        assert per_entry == 2 * messages._INT + messages._FLOAT
+        assert per_entry < (messages._INT + messages._FLOAT
+                            + messages._MAP_ENTRY)
 
 
 class TestUsageResyncRequest:

@@ -10,6 +10,8 @@ from repro.services.ums import UsageMonitoringService
 from repro.services.uss import UsageStatisticsService
 from repro.sim.engine import SimulationEngine
 
+from ..conftest import cold_start
+
 
 @pytest.fixture
 def engine():
@@ -115,37 +117,37 @@ class TestUsageTree:
         assert ums.usage_totals()["u"] == pytest.approx(30.0)
 
 
+def cold_totals(ums):
+    """What a UMS constructed *now* over the same sources serves."""
+    with cold_start(ums) as (cold, _):
+        return cold.usage_totals()
+
+
 class TestIncrementalRefresh:
-    """The dirty-user incremental path must be indistinguishable from the
-    full merge-and-decay reference (DESIGN.md §7)."""
+    """The dirty-user incremental path must be indistinguishable from a
+    cold start at the same instant (DESIGN.md §7)."""
 
-    def paired(self, engine, uss, decay):
-        inc = UsageMonitoringService("a", engine, sources=[uss], decay=decay,
-                                     refresh_interval=10.0, incremental=True)
-        ref = UsageMonitoringService("a", engine, sources=[uss], decay=decay,
-                                     refresh_interval=10.0, incremental=False)
-        return inc, ref
-
-    def assert_match(self, inc, ref):
-        ref_totals = ref.usage_totals()
+    def assert_match(self, inc):
+        """Pair the long-lived UMS with a cold one at the same instant."""
+        ref_totals = cold_totals(inc)
         inc_totals = inc.usage_totals()
         for user in set(ref_totals) | set(inc_totals):
             assert inc_totals.get(user, 0.0) == pytest.approx(
                 ref_totals.get(user, 0.0), rel=1e-9, abs=1e-9), user
 
     def test_matches_full_recompute_across_refreshes(self, engine, uss):
-        inc, ref = self.paired(engine, uss,
-                               ExponentialDecay(half_life=3600.0))
+        inc = make_ums(engine, uss, decay=ExponentialDecay(half_life=3600.0))
         uss.record_job(UsageRecord(user="u1", site="a", start=0.0, end=100.0))
         engine.run_until(10.0)
-        self.assert_match(inc, ref)
+        self.assert_match(inc)
         uss.record_job(UsageRecord(user="u2", site="a", start=10.0, end=15.0))
         engine.run_until(20.0)
-        self.assert_match(inc, ref)
+        self.assert_match(inc)
         # several idle refreshes: clean users age-shift analytically
-        engine.run_until(60.0)
-        assert inc.full_refreshes < inc.refreshes
-        self.assert_match(inc, ref)
+        for t in (30.0, 40.0, 50.0, 60.0):
+            engine.run_until(t)
+            self.assert_match(inc)
+        assert inc.full_refreshes == 1 < inc.refreshes
 
     def test_only_dirty_users_recomputed(self, engine, uss):
         ums = make_ums(engine, uss, decay=ExponentialDecay(half_life=3600.0))
@@ -181,24 +183,31 @@ class TestIncrementalRefresh:
         assert ums.full_refreshes == ums.refreshes
 
     def test_incremental_false_is_pure_reference(self, engine, uss):
-        ums = make_ums(engine, uss, decay=ExponentialDecay(half_life=3600.0),
-                       incremental=False)
+        """There is no ``incremental=False`` to ask for: which path a UMS
+        refreshes through is read off its decay function, and the pure
+        reference is a cold start (its one refresh is the full pass)."""
+        with pytest.raises(TypeError):
+            make_ums(engine, uss, incremental=False)
+        ums = make_ums(engine, uss, decay=ExponentialDecay(half_life=3600.0))
+        assert ums.incremental
+        with pytest.raises(AttributeError):
+            ums.incremental = False
         uss.record_job(UsageRecord(user="u", site="a", start=0.0, end=50.0))
         engine.run_until(40.0)
-        assert ums.full_refreshes == ums.refreshes
+        assert ums.full_refreshes == 1
+        assert cold_totals(ums) == pytest.approx(ums.usage_totals(), rel=1e-9)
 
     def test_young_user_stays_exact(self, engine, uss):
         """A job whose bin midpoint lies beyond ``now`` would break the
         analytic age shift (ages clamp at 0); the user must be recomputed
         until the midpoint passes — and totals must match throughout."""
-        inc, ref = self.paired(engine, uss,
-                               ExponentialDecay(half_life=600.0))
+        inc = make_ums(engine, uss, decay=ExponentialDecay(half_life=600.0))
         # bin 0 covers [0, 60): its midpoint (30) is ahead of the first
         # refreshes at t=10 and t=20
         uss.record_job(UsageRecord(user="u", site="a", start=0.0, end=5.0))
         for t in (10.0, 20.0, 30.0, 40.0, 50.0):
             engine.run_until(t)
-            self.assert_match(inc, ref)
+            self.assert_match(inc)
 
     def test_stop_releases_cursors(self, engine, uss):
         ums = make_ums(engine, uss, decay=ExponentialDecay(half_life=3600.0))

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.usage import UsageRecord
-from repro.services.messages import (UsageDeltaMessage, UsageExchangeMessage,
-                                     UsageResyncRequest)
+from repro.services.messages import UsageDeltaMessage, UsageResyncRequest
 from repro.services.network import Network
 from repro.services.uss import UsageStatisticsService
 from repro.sim.engine import SimulationEngine
@@ -87,14 +86,26 @@ class TestExchange:
         assert a.global_usage(include_remote=False).total("u") == 0.0
 
     def test_interval_mismatch_dropped(self, engine, network):
+        from repro.obs.export import render
+
         a = make_uss("a", engine, network)
         b = UsageStatisticsService("b", engine, network,
                                    histogram_interval=30.0,
                                    exchange_interval=10.0)
+        # pre-created: a healthy site renders the series at zero
+        assert ('aequus_uss_exchanges_total{site="b",'
+                'event="interval_mismatch"} 0') in render(b.registry)
         a.add_peer("b")
         a.record_job(record())
         engine.run_until(15.0)
         assert "a" not in b.remote
+        # ... and the drop is visible, not just a silent partition:
+        # a's t=0 and t=10 publishes were both refused and counted
+        assert b.interval_mismatch == 2
+        assert b.exchanges_received == 0
+        assert "a" not in b.usage_horizons()
+        assert ('aequus_uss_exchanges_total{site="b",'
+                'event="interval_mismatch"} 2') in render(b.registry)
 
     def test_self_peering_rejected(self, engine, network):
         a = make_uss("a", engine, network)
@@ -196,16 +207,24 @@ class TestDeltaProtocol:
         assert b.remote["a"].total("alice") == pytest.approx(100.0)
 
     def test_legacy_snapshot_reordering_dropped_by_sent_at(self, engine, network):
-        """Satellite: the legacy dict-of-dict path gates on sent_at."""
+        """The ``sent_at`` gate went with the full-histogram plane: order
+        is decided by ``seq`` alone, so a sender whose clock stepped back
+        is still applied, and a reordered snapshot is still dropped
+        however new its timestamp claims to be."""
         b = make_uss("b", engine, network)
-        newer = UsageExchangeMessage(site="a", sent_at=10.0, interval=60.0,
-                                     snapshot={"u": {0: 60.0}})
-        older = UsageExchangeMessage(site="a", sent_at=5.0, interval=60.0,
-                                     snapshot={"u": {0: 1.0}})
-        b._on_message(newer)
-        b._on_message(older)
+
+        def snapshot(seq, sent_at, charge, full):
+            return UsageDeltaMessage(
+                site="a", sent_at=sent_at, interval=60.0, seq=seq, full=full,
+                user_table=["u"], user_idx=[0], bin_idx=[0], charges=[charge])
+
+        b._on_message(snapshot(1, 10.0, 60.0, full=True))
+        b._on_message(snapshot(2, 5.0, 70.0, full=False))   # clock stepped
+        assert b.exchanges_stale == 0
+        assert b.remote["a"].total("u") == pytest.approx(70.0)
+        b._on_message(snapshot(1, 99.0, 1.0, full=True))    # reordered
         assert b.exchanges_stale == 1
-        assert b.remote["a"].total("u") == pytest.approx(60.0)
+        assert b.remote["a"].total("u") == pytest.approx(70.0)
 
     def test_sequence_gap_triggers_resync(self, engine, network):
         """A delta lost to a partition is repaired by request/reply resync
@@ -253,24 +272,40 @@ class TestDeltaProtocol:
         assert req.target == "a"
 
     def test_legacy_mode_still_full_snapshots(self, engine, network):
-        a = make_uss("a", engine, network, delta_exchange=False)
+        """Complete-state snapshots still exist, inside the one message
+        type: the first publish and every resync reply are ``full=True``;
+        everything in between is a delta or a heartbeat."""
+        a = make_uss("a", engine, network)
         inbox = []
         network.connect("uss:b", inbox.append)
         a.add_peer("b")
         a.record_job(record(user="alice", end=100.0))
         engine.run_until(25.0)
-        assert inbox and all(isinstance(m, UsageExchangeMessage)
-                             for m in inbox)
-        assert inbox[-1].snapshot["alice"][0] == pytest.approx(60.0)
+        assert all(type(m) is UsageDeltaMessage for m in inbox)
+        assert [m.full for m in inbox] == [True, False, False]
+        assert inbox[0].charges == [pytest.approx(60.0), pytest.approx(40.0)]
+        a._on_message(UsageResyncRequest(site="b", sent_at=25.0, target="a"))
+        engine.run_until(26.0)
+        reply = inbox[-1]
+        assert reply.full and reply.seq == inbox[0].seq
+        assert sorted(reply.charges) == sorted(inbox[0].charges)
 
     def test_mixed_modes_interoperate(self, engine, network):
-        """A legacy publisher's snapshots are understood by a delta peer."""
-        a = make_uss("a", engine, network, delta_exchange=False)
-        b = make_uss("b", engine, network)
+        """The modes that remain are participation modes: a site that
+        consumes without publishing interoperates with a full peer — it
+        mirrors the peer, sends nothing, and answers no resync."""
+        a = make_uss("a", engine, network)
+        b = make_uss("b", engine, network, publish=False)
         a.add_peer("b")
+        b.add_peer("a")
         a.record_job(record(user="alice", end=100.0))
+        b.record_job(record(user="bob", end=50.0))
         engine.run_until(25.0)
-        assert b.remote["a"].total("alice") == pytest.approx(100.0)
+        assert b.remote["a"].snapshot() == a.local.snapshot()
+        assert "b" not in a.remote and b.exchanges_sent == 0
+        b._on_message(UsageResyncRequest(site="a", sent_at=25.0, target="b"))
+        engine.run_until(26.0)
+        assert b.resyncs_served == 0 and "b" not in a.remote
 
 
 class TestFreshnessWatermarks:
@@ -348,12 +383,19 @@ class TestFreshnessWatermarks:
         assert b.resyncs_requested == 1
 
     def test_legacy_full_snapshots_carry_horizons(self, engine, network):
-        a = make_uss("a", engine, network, delta_exchange=False)
-        b = make_uss("b", engine, network)
+        """Full snapshots are stamped like deltas: a late joiner's resync
+        reply carries the horizon of the moment it was served, not of the
+        sender's original first publish."""
+        a = make_uss("a", engine, network)
         a.add_peer("b")
         a.record_job(record(user="alice", end=100.0))
-        engine.run_until(11.0)
-        assert b.usage_horizons()["a"] == pytest.approx(10.0)
+        engine.run_until(25.0)  # full seq=1 at t=0 went nowhere
+        b = make_uss("b", engine, network)
+        engine.run_until(31.0)  # t=30 heartbeat -> resync -> full reply
+        assert b.resyncs_requested == 1
+        assert b.remote["a"].snapshot() == a.local.snapshot()
+        # heartbeat lands 30.1, request lands 30.2: that is when a served it
+        assert b.usage_horizons()["a"] == pytest.approx(30.2)
 
     def test_staleness_histogram_exported(self, engine, network):
         from repro.obs.export import render
