@@ -24,6 +24,17 @@ discrete-event experiments) or over the **socket transport**: pass a
 aequusd — and every call-out crosses the network boundary exactly as the
 paper's deployment does.  The RMS plugins are oblivious to the mode; the
 caching, stats, and call signatures are identical on both paths.
+
+A transport may also offer ``lookup_account(system_user) -> (identity,
+value, known)`` (``SyncAequusClient`` does: one ``LOOKUP_ACCOUNT`` round
+trip); a cold owner then costs one call-out instead of a resolution plus
+a lookup.  A transport with only the paper's three operations is asked
+to resolve, then to look up — as direct mode asks the IRS, then the FCS.
+
+Cache hits, the common case when a queue holds many jobs per owner, cost
+one dict probe per cache: the hit path reads the two tables directly and
+bumps its registry counters without their lock.  That is safe because an
+instance has a single writer — use one instance per scheduler thread.
 """
 
 from __future__ import annotations
@@ -46,7 +57,12 @@ __all__ = ["LibAequus", "AequusTransport"]
 
 
 class AequusTransport(Protocol):
-    """Duck-type of a socket transport (``SyncAequusClient`` satisfies it)."""
+    """Duck-type of a socket transport (``SyncAequusClient`` satisfies it).
+
+    Optionally also ``lookup_account(system_user) -> (identity, value,
+    known)``, raising ``IdentityResolutionError`` for an unmapped account;
+    when present it answers every cache miss in one call.
+    """
 
     def lookup_fairshare(self, user: str) -> Tuple[float, bool]: ...
 
@@ -86,12 +102,12 @@ class LibAequus:
                 else time.monotonic
         self.registry = registry if registry is not None else MetricsRegistry(
             constant_labels={"component": "libaequus"}, clock=clock)
+        fairshare_stats = RegistryCacheStats(self.registry, "fairshare")
+        identity_stats = RegistryCacheStats(self.registry, "identity")
         self._fairshare_cache: TTLCache[str, Tuple[float, bool]] = \
-            TTLCache(clock, cache_ttl,
-                     stats=RegistryCacheStats(self.registry, "fairshare"))
+            TTLCache(clock, cache_ttl, stats=fairshare_stats)
         self._identity_cache: TTLCache[str, str] = \
-            TTLCache(clock, cache_ttl,
-                     stats=RegistryCacheStats(self.registry, "identity"))
+            TTLCache(clock, cache_ttl, stats=identity_stats)
         calls = self.registry.counter(
             "aequus_client_calls_total",
             "libaequus call-outs by operation", ("op",))
@@ -105,6 +121,22 @@ class LibAequus:
             "fairshare_negative": negatives.labels(kind="fairshare"),
             "identity_negative": negatives.labels(kind="identity"),
         }
+        # what lookup_fairshare touches, bound once
+        self._clock = clock
+        self._ttl = self._identity_cache.ttl
+        self._identities = self._identity_cache.entries
+        self._fairshares = self._fairshare_cache.entries
+        self._calls = self._metrics["fairshare_calls"]
+        self._identity_hits = identity_stats.hit_series
+        self._identity_misses = identity_stats.miss_series
+        self._fairshare_hits = fairshare_stats.hit_series
+        self._fairshare_misses = fairshare_stats.miss_series
+        self._resolve = transport.resolve_identity if transport is not None \
+            else irs.resolve
+        self._lookup = transport.lookup_fairshare if transport is not None \
+            else fcs.lookup
+        #: answers an identity miss and its fairshare in one call-out
+        self._lookup_account = getattr(transport, "lookup_account", None)
 
     fairshare_calls = metric_property("fairshare_calls")
     usage_reports = metric_property("usage_reports")
@@ -145,12 +177,9 @@ class LibAequus:
         Failed resolutions are counted (:attr:`identity_negative`) and
         never cached — a mapping may be stored at any moment.
         """
-        resolver = self.transport.resolve_identity if self.transport \
-            else self.irs.resolve
-
         def load() -> str:
             try:
-                return resolver(system_user)
+                return self._resolve(system_user)
             except Exception:
                 self.identity_negative += 1
                 raise
@@ -167,19 +196,60 @@ class LibAequus:
         any other value — repeating an unknown user in a batch must not
         re-query the service on every job.
         """
-        self.fairshare_calls += 1
-        identity = self.resolve_identity(system_user)
+        # the hit path: one probe per cache, counters bumped lock-free
+        # (single writer, see the module docstring)
+        self._calls.value += 1
+        now = self._clock()
+        entry = self._identities.get(system_user)
+        if entry is None or now - entry[0] >= self._ttl:
+            return self._account_miss(system_user, now)
+        self._identity_hits.value += 1
+        identity = entry[1]
+        entry = self._fairshares.get(identity)
+        if entry is None or now - entry[0] >= self._ttl:
+            return self._fairshare_miss(identity, now)
+        self._fairshare_hits.value += 1
+        return entry[1]
 
-        def load() -> Tuple[float, bool]:
-            if self.transport is not None:
-                value, known = self.transport.lookup_fairshare(identity)
+    def _account_miss(self, system_user: str, now: float
+                      ) -> Tuple[float, bool]:
+        """Identity not cached: resolve it — through ``lookup_account``,
+        fetching its fairshare in the same call-out."""
+        self._identity_misses.value += 1
+        fetched = None
+        try:
+            if self._lookup_account is None:
+                identity = self._resolve(system_user)
             else:
-                value, known = self.fcs.lookup(identity)
-            if not known:
-                self.fairshare_negative += 1
-            return value, known
+                identity, value, known = self._lookup_account(system_user)
+                fetched = (value, known)
+        except Exception:
+            # a failed resolution is counted and never cached: a mapping
+            # may be stored at any moment
+            self.identity_negative += 1
+            raise
+        if self._ttl > 0:
+            self._identities[system_user] = (now, identity)
+        entry = self._fairshares.get(identity)
+        if entry is not None and now - entry[0] < self._ttl:
+            # another account of the same identity filled it; the cached
+            # answer wins, exactly as if only the identity had been loaded
+            self._fairshare_hits.value += 1
+            return entry[1]
+        return self._fairshare_miss(identity, now, fetched)
 
-        return self._fairshare_cache.get(identity, load)
+    def _fairshare_miss(self, identity: str, now: float,
+                        fetched: Optional[Tuple[float, bool]] = None
+                        ) -> Tuple[float, bool]:
+        self._fairshare_misses.value += 1
+        value, known = fetched if fetched is not None \
+            else self._lookup(identity)
+        if not known:
+            self.fairshare_negative += 1
+        answer = (value, known)
+        if self._ttl > 0:
+            self._fairshares[identity] = (now, answer)
+        return answer
 
     def get_fairshare(self, system_user: str) -> float:
         """Projected fairshare value in [0, 1] for a job's owner.

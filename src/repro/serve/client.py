@@ -15,15 +15,19 @@ only in how a connection moves bytes.
   to completion in one ``send(None)``.  For closed-loop callers that need
   one answer before asking for the next: ``libaequus``'s socket transport
   (it implements that duck-type: ``lookup_fairshare`` /
-  ``resolve_identity`` / ``report_usage``) under an RMS queue pass, the
-  CLI, the collector.  Threads sharing one instance are serialized.
+  ``resolve_identity`` / ``report_usage``, plus ``lookup_account``) under
+  an RMS queue pass, the CLI, the collector.  Threads sharing one instance
+  are serialized.
 
 Protocol upgrade: each new connection sends a JSON ``HELLO``; servers
 that advertise ``binary: 2`` get the hot key-addressed ops
-(GET_FAIRSHARE, GET_VECTOR, REPORT_USAGE, batch lookups) as struct-packed
-v2 frames on the same socket — JSON and binary interleave freely, so
-INFO/METRICS/RESOLVE_IDENTITY stay JSON.  Servers predating HELLO answer
-``UNSUPPORTED_OP`` and the client stays on JSON, transparently.  The
+(GET_FAIRSHARE, GET_VECTOR, REPORT_USAGE, LOOKUP_ACCOUNT, batch lookups)
+as struct-packed v2 frames on the same socket — JSON and binary
+interleave freely, so INFO/METRICS/RESOLVE_IDENTITY stay JSON.  Servers
+predating HELLO answer ``UNSUPPORTED_OP`` and the client stays on JSON,
+transparently; a binary server predating LOOKUP_ACCOUNT answers that
+opcode ``UNSUPPORTED_OP`` once per connection, and ``lookup_account``
+then takes the JSON resolve plus a fairshare lookup there.  The
 client caches the integer leaf id a name-addressed binary reply returns
 and switches that user to id-addressed requests; when the server's leaf
 table is recompiled (``EPOCH_CHANGED``), the stale id is dropped and the
@@ -64,10 +68,11 @@ from ..obs.registry import MetricsRegistry, StatsView
 from ..services.irs import IdentityResolutionError
 from .protocol import (BIN_ACCEPTED, BIN_BATCH_REPLY_HEAD, BIN_FS_REPLY,
                        BIN_VEC_HEAD, BST_EPOCH_CHANGED, BST_OK,
-                       BST_UNKNOWN_USER, ERR_UNKNOWN_USER, MAX_FRAME_BYTES,
-                       NO_LEAF_ID, PROTOCOL_VERSION, ProtocolError,
-                       bin_batch_fairshare, bin_get_fairshare_by_id,
-                       bin_get_fairshare_by_name, bin_get_vector_by_name,
+                       BST_UNKNOWN_USER, BST_UNSUPPORTED_OP, ERR_UNKNOWN_USER,
+                       MAX_FRAME_BYTES, NO_LEAF_ID, PROTOCOL_VERSION,
+                       ProtocolError, bin_batch_fairshare,
+                       bin_get_fairshare_by_id, bin_get_fairshare_by_name,
+                       bin_get_vector_by_name, bin_lookup_account,
                        bin_report_usage, decode_bin_error, encode_frame,
                        split_reply)
 
@@ -119,6 +124,8 @@ class _Connection:
         self.broken = False
         #: negotiated per connection via HELLO (see AequusClient._connect)
         self.binary = False
+        #: the server knows LOOKUP_ACCOUNT (cleared by its UNSUPPORTED_OP)
+        self.by_account = True
 
     async def request(self, payload: Dict[str, Any],
                       timeout: float) -> Dict[str, Any]:
@@ -510,6 +517,53 @@ class AequusClient:
             raise
         return str(reply["identity"])
 
+    async def _bin_lookup_account(self, system_user: str
+                                  ) -> Optional[Tuple[str, float, bool]]:
+        async def exchange(conn: _Connection) -> Optional[Tuple[int, bytes]]:
+            res = await conn.request_bin(
+                lambda rid: bin_lookup_account(rid, system_user),
+                self.timeout)
+            if res[0] == BST_UNSUPPORTED_OP:
+                conn.by_account = False  # a binary server predating the op
+                return None
+            return res
+
+        res = await self._attempt(
+            lambda conn: exchange(conn) if conn.binary and conn.by_account
+            else None)
+        if res is None:
+            return None
+        status, body = res
+        if status == BST_UNKNOWN_USER:
+            raise IdentityResolutionError(system_user)
+        if status != BST_OK:
+            err = decode_bin_error(status, body)
+            raise AequusServerError(err["code"], err["message"])
+        value, known, _seq, gen, leaf_id = BIN_FS_REPLY.unpack_from(body)
+        identity = body[BIN_FS_REPLY.size:].decode("utf-8")
+        if known:
+            self._remember_leaf(identity, gen, leaf_id)
+        return identity, float(value), bool(known)
+
+    async def lookup_account(self, system_user: str
+                             ) -> Tuple[str, float, bool]:
+        """System user -> (grid identity, value, known) in one round trip.
+
+        The scheduler's whole question about a job's owner: the server
+        resolves the account and serves the identity's fairshare from one
+        snapshot.  Connections without the binary op take
+        :meth:`resolve_identity` + :meth:`lookup_fairshare` instead, with
+        the same answer; an unresolvable account raises
+        :class:`~repro.services.irs.IdentityResolutionError` either way.
+        """
+        if self.binary:
+            result = await self._bin_lookup_account(system_user)
+            if result is not None:
+                return result
+        identity = await self.resolve_identity(system_user)
+        value, known = await self.lookup_fairshare(identity)
+        return identity, value, known
+
     async def report_usage(self, user: str, start: float, end: float,
                            cores: int = 1) -> bool:
         if self.binary:
@@ -698,6 +752,7 @@ class SyncAequusClient:
     lookup_fairshare_detail = _blocking(AequusClient.lookup_fairshare_detail)
     get_vector = _blocking(AequusClient.get_vector)
     resolve_identity = _blocking(AequusClient.resolve_identity)
+    lookup_account = _blocking(AequusClient.lookup_account)
     report_usage = _blocking(AequusClient.report_usage)
     ping = _blocking(AequusClient.ping)
     hello = _blocking(AequusClient.hello)

@@ -64,6 +64,18 @@ array — the server returns them on name lookups so clients cache the
 mapping and skip string resolution entirely; a generation mismatch (the
 policy was recompiled) answers ``EPOCH_CHANGED`` and the client
 re-resolves by name.
+
+``LOOKUP_ACCOUNT`` (opcode 6) is a scheduler's whole per-owner question
+in one frame: the body is a UTF-8 *system user*; the server resolves it
+through its backend's identity resolution (the live IRS, or the IRS
+table published to shared memory), never memoising the answer, and
+replies with the 24-byte ``BIN_FS_REPLY`` of the resolved identity
+followed by the identity's UTF-8 bytes.  An account that does not
+resolve answers ``UNKNOWN_USER``.  ``HELLO`` still advertises
+``binary: 2``: a binary server that predates the opcode answers it
+``UNSUPPORTED_OP``, and the client then falls back to JSON
+``RESOLVE_IDENTITY`` plus a fairshare lookup for the rest of that
+connection — as it does on JSON-only connections.
 """
 
 from __future__ import annotations
@@ -107,6 +119,7 @@ __all__ = [
     "BOP_REPORT_USAGE",
     "BOP_BATCH_FAIRSHARE",
     "BOP_PING",
+    "BOP_LOOKUP_ACCOUNT",
     "BST_OK",
     "BIN_STATUS_CODES",
     "NO_LEAF_ID",
@@ -115,6 +128,7 @@ __all__ = [
     "bin_get_fairshare_by_name",
     "bin_get_fairshare_by_id",
     "bin_batch_fairshare",
+    "bin_lookup_account",
     "decode_bin_error",
 ]
 
@@ -154,9 +168,10 @@ BOP_GET_VECTOR = 2
 BOP_REPORT_USAGE = 3
 BOP_BATCH_FAIRSHARE = 4
 BOP_PING = 5
+BOP_LOOKUP_ACCOUNT = 6
 
 BIN_OPS = frozenset({BOP_GET_FAIRSHARE, BOP_GET_VECTOR, BOP_REPORT_USAGE,
-                     BOP_BATCH_FAIRSHARE, BOP_PING})
+                     BOP_BATCH_FAIRSHARE, BOP_PING, BOP_LOOKUP_ACCOUNT})
 
 #: reply statuses; non-zero statuses carry a UTF-8 message as the body
 BST_OK = 0
@@ -350,6 +365,10 @@ def bin_batch_fairshare(rid: int, gen: int, leaf_ids: list) -> bytes:
 
 def bin_ping(rid: int) -> bytes:
     return bin_request(BOP_PING, rid)
+
+
+def bin_lookup_account(rid: int, system_user: str) -> bytes:
+    return bin_request(BOP_LOOKUP_ACCOUNT, rid, system_user.encode("utf-8"))
 
 
 async def read_bin_reply(reader: asyncio.StreamReader,

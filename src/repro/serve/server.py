@@ -24,8 +24,11 @@ submitted together).  Identical single-key reads against the *same
 snapshot* produce identical reply bodies, so the server memoizes bodies
 keyed by ``(op, user, snapshot seq)`` in a small bounded map and only
 recomputes on a snapshot change.  Coalesced hits are counted in the
-stats.  The binary protocol needs no server-side coalescing: clients
-cache integer leaf ids, which makes every repeat lookup two array reads.
+stats.  Identity resolution is never coalesced: the IRS is not versioned
+by the snapshot seq, so a mapping stored between two publishes must be
+answered at once.  The binary protocol needs no server-side coalescing:
+clients cache integer leaf ids, which makes every repeat lookup two
+array reads.
 
 Batches resolve the current snapshot ONCE and serve every sub-request
 from it, so a batch can never straddle an FCS refresh (no torn batches).
@@ -53,10 +56,11 @@ from .protocol import (BF_BY_ID, BIN_ACCEPTED, BIN_BATCH_HEAD,
                        BIN_BATCH_REPLY_HEAD, BIN_BY_ID, BIN_FS_FULL,
                        BIN_HEADER, BIN_PROTOCOL_VERSION, BIN_REP_MAGIC,
                        BIN_REPORT, BIN_REQ_MAGIC, BIN_VEC_HEAD,
-                       BOP_BATCH_FAIRSHARE, BOP_GET_FAIRSHARE,
-                       BOP_GET_VECTOR, BOP_PING, BOP_REPORT_USAGE,
-                       BST_BAD_BATCH, BST_EPOCH_CHANGED, BST_MALFORMED,
-                       BST_NOT_A_LEAF, BST_OK, BST_OVERSIZED, BST_UNKNOWN_USER,
+                       BIN_FS_REPLY, BOP_BATCH_FAIRSHARE, BOP_GET_FAIRSHARE,
+                       BOP_GET_VECTOR, BOP_LOOKUP_ACCOUNT, BOP_PING,
+                       BOP_REPORT_USAGE, BST_BAD_BATCH, BST_EPOCH_CHANGED,
+                       BST_INTERNAL, BST_MALFORMED, BST_NOT_A_LEAF, BST_OK,
+                       BST_OVERSIZED, BST_UNKNOWN_USER,
                        BST_UNSUPPORTED_OP, ERR_BAD_BATCH, ERR_BAD_VERSION,
                        ERR_INTERNAL, ERR_MALFORMED, ERR_NOT_A_LEAF,
                        ERR_OVERSIZED, ERR_UNKNOWN_USER, ERR_UNSUPPORTED_OP,
@@ -74,6 +78,7 @@ _BIN_OP_NAMES = {
     BOP_REPORT_USAGE: "REPORT_USAGE",
     BOP_BATCH_FAIRSHARE: "BATCH",
     BOP_PING: "PING",
+    BOP_LOOKUP_ACCOUNT: "LOOKUP_ACCOUNT",
 }
 
 _READ_CHUNK = 256 * 1024
@@ -166,7 +171,8 @@ class AequusServer:
             "aequus_request_seconds",
             "Server-side request execution time by op (METRICS itself is "
             "excluded so a scrape never perturbs what it reports)", ("op",))
-        self._op_latency = {op: latency.labels(op=op) for op in OPS}
+        self._op_latency = {op: latency.labels(op=op)
+                            for op in OPS | set(_BIN_OP_NAMES.values())}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -322,6 +328,8 @@ class AequusServer:
                 self._bin_batch(flags, rid, body, out)
             elif opcode == BOP_REPORT_USAGE:
                 self._bin_report_usage(rid, body, out)
+            elif opcode == BOP_LOOKUP_ACCOUNT:
+                self._bin_lookup_account(rid, body, out)
             elif opcode == BOP_PING:
                 out += BIN_HEADER.pack(BIN_REP_MAGIC, BST_OK, 0, rid,
                                        len(body)) + body
@@ -331,7 +339,6 @@ class AequusServer:
                                  f"unknown opcode {opcode}")
         except Exception as exc:  # defensive: a bug must not kill the loop
             self.stats["errors"] += 1
-            from .protocol import BST_INTERNAL
             out += bin_error(BST_INTERNAL, rid,
                              f"{type(exc).__name__}: {exc}")
         if timed:
@@ -534,6 +541,48 @@ class AequusServer:
         out += BIN_HEADER.pack(BIN_REP_MAGIC, BST_OK, 0, rid, 1)
         out += BIN_ACCEPTED.pack(1 if accepted else 0)
 
+    def _bin_lookup_account(self, rid: int, body: bytes,
+                            out: bytearray) -> None:
+        """System user -> the identity's BIN_FS_REPLY + the identity."""
+        try:
+            account = body.decode("utf-8")
+        except UnicodeDecodeError:
+            account = ""
+        if not account:
+            self.stats["errors"] += 1
+            out += bin_error(BST_MALFORMED, rid,
+                             "LOOKUP_ACCOUNT body is a non-empty utf-8 "
+                             "system user")
+            return
+        # resolved on every request, never memoised: a mapping may be
+        # stored or replaced at any moment
+        identity = self.backend.resolve_identity(account)
+        if identity is None:
+            self.stats["errors"] += 1
+            out += bin_error(BST_UNKNOWN_USER, rid,
+                             f"cannot resolve {account!r}")
+            return
+        tail = identity.encode("utf-8")
+        for _ in range(64):
+            snap, stamp = self._stable_snapshot()
+            if snap is None:
+                # nothing published yet: the fallback value, as JSON
+                # GET_FAIRSHARE answers it
+                value, known, _ = self.backend.lookup_fairshare(identity)
+                seq = gen = 0
+                leaf_id = NO_LEAF_ID
+            else:
+                value, known, leaf_id = snap.resolve_leaf(identity)
+                seq, gen = snap.seq & 0xFFFFFFFF, snap.leaf_gen
+            if snap is None or snap.still(stamp):
+                out += BIN_FS_FULL.pack(
+                    BIN_REP_MAGIC, BST_OK, 0, rid,
+                    BIN_FS_REPLY.size + len(tail),
+                    value, 1 if known else 0, seq, gen, leaf_id)
+                out += tail
+                return
+        raise RuntimeError("snapshot would not stabilize")
+
     # -- JSON (v1) execution ---------------------------------------------------
 
     def _execute(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -686,6 +735,10 @@ class AequusServer:
             # is (op, user, seq), which cannot distinguish the flag, and
             # the staleness values depend on "now", not on the snapshot
             return self._get_fairshare(user, snapshot, with_horizons=True)
+        if op == "RESOLVE_IDENTITY":
+            # the IRS is not versioned by the snapshot seq: a memoised
+            # answer would outlive a mapping stored or replaced after it
+            return self._resolve_identity(user)
         seq = snapshot.seq if snapshot is not None else -1
         key = (op, user, seq)
         cached = self._coalesce.get(key)
@@ -694,14 +747,8 @@ class AequusServer:
             return cached
         if op == "GET_FAIRSHARE":
             body = self._get_fairshare(user, snapshot)
-        elif op == "GET_VECTOR":
+        else:  # GET_VECTOR
             body = self._get_vector(user, snapshot)
-        else:  # RESOLVE_IDENTITY
-            body = self._resolve_identity(user)
-            if not body["ok"]:
-                # an IRS mapping may be stored at any moment; a memoized
-                # negative answer would outlive it within this snapshot
-                return body
         if len(self._coalesce) >= self._coalesce_size:
             self._coalesce.popitem(last=False)
         self._coalesce[key] = body

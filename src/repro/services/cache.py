@@ -104,7 +104,9 @@ class RegistryCacheStats(CacheStats):
     ``stats.hits += 1``, ``hit_rate``), so callers holding a stats object
     — ``FairshareCalculationService.refresh_stats``, the ``libaequus``
     cache surfaces — cannot tell the difference, but a Prometheus scrape
-    sees the hit/miss series labeled by cache name.
+    sees the hit/miss series labeled by cache name.  ``hit_series`` /
+    ``miss_series`` are the counters themselves, for a single-writer hot
+    path that bumps them without the registry lock.
     """
 
     def __init__(self, registry: MetricsRegistry, cache: str):
@@ -112,24 +114,24 @@ class RegistryCacheStats(CacheStats):
             "aequus_cache_lookups_total",
             "Cache lookups by cache name and hit/miss outcome",
             ("cache", "outcome"))
-        self._hits = family.labels(cache=cache, outcome="hit")
-        self._misses = family.labels(cache=cache, outcome="miss")
+        self.hit_series = family.labels(cache=cache, outcome="hit")
+        self.miss_series = family.labels(cache=cache, outcome="miss")
 
     @property
     def hits(self) -> int:
-        return self._hits.value
+        return self.hit_series.value
 
     @hits.setter
     def hits(self, value) -> None:
-        self._hits.set(value)
+        self.hit_series.set(value)
 
     @property
     def misses(self) -> int:
-        return self._misses.value
+        return self.miss_series.value
 
     @misses.setter
     def misses(self, value) -> None:
-        self._misses.set(value)
+        self.miss_series.set(value)
 
 
 class TTLCache(Generic[K, V]):
@@ -139,6 +141,11 @@ class TTLCache(Generic[K, V]):
     (normally ``lambda: engine.now``).  ``ttl == 0`` disables caching
     entirely (every lookup is a miss), which the update-delay experiment
     uses to isolate delay sources.
+
+    ``entries`` is the table itself, ``key -> (stored at, value)``: an
+    entry is fresh while ``now - stored_at < ttl``, and none is stored
+    when ``ttl == 0``.  A hot path that cannot afford :meth:`get`'s loader
+    closure reads and fills it directly under those two rules.
     """
 
     def __init__(self, clock: Callable[[], float], ttl: float,
@@ -147,32 +154,32 @@ class TTLCache(Generic[K, V]):
             raise ValueError("ttl must be non-negative")
         self.clock = clock
         self.ttl = float(ttl)
-        self._entries: Dict[K, Tuple[float, V]] = {}
+        self.entries: Dict[K, Tuple[float, V]] = {}
         self.stats = stats if stats is not None else CacheStats()
 
     def get(self, key: K, loader: Callable[[], V]) -> V:
         """Return the cached value for ``key``, refreshing via ``loader``."""
         now = self.clock()
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is not None and self.ttl > 0 and now - entry[0] < self.ttl:
             self.stats.hits += 1
             return entry[1]
         self.stats.misses += 1
         value = loader()
         if self.ttl > 0:
-            self._entries[key] = (now, value)
+            self.entries[key] = (now, value)
         return value
 
     def peek(self, key: K):
         """Current cached value (even if stale) or None; no stats effect."""
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         return entry[1] if entry is not None else None
 
     def invalidate(self, key: K) -> None:
-        self._entries.pop(key, None)
+        self.entries.pop(key, None)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self.entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)

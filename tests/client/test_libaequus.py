@@ -1,10 +1,13 @@
 """Unit tests for the libaequus client library."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client.libaequus import LibAequus
 from repro.core.policy import PolicyTree
 from repro.core.usage import UsageRecord
+from repro.services.irs import IdentityResolutionError
 from repro.services.network import Network
 from repro.services.site import AequusSite, SiteConfig
 from repro.sim.engine import SimulationEngine
@@ -194,8 +197,8 @@ class TestSocketTransport:
         before = client.stats["requests"]
         for _ in range(10):
             lib.get_fairshare("sys_alice")
-        # one RESOLVE_IDENTITY + one GET_FAIRSHARE; nine cache hits
-        assert client.stats["requests"] == before + 2
+        # one LOOKUP_ACCOUNT answers both caches; nine cache hits
+        assert client.stats["requests"] == before + 1
 
     def test_report_usage_lands_in_uss(self, socket_lib):
         engine, site, lib, _ = socket_lib
@@ -211,3 +214,135 @@ class TestSocketTransport:
         with pytest.raises(IdentityResolutionError):
             lib.resolve_identity("sys_nobody")
         assert lib.cache_stats()["identity"]["negative"] == 1
+
+
+# -- the hit path against a two-cache reference model --------------------------
+
+#: the IRS table: mapped accounts, two accounts sharing one identity, and an
+#: account mapped to an identity the policy lacks; "sys_nobody" is unmapped
+MAPPINGS = {"sys_alice": "alice", "sys_bob": "bob", "sys_al2": "alice",
+            "sys_ghost": "ghost"}
+ACCOUNTS = sorted(MAPPINGS) + ["sys_nobody"]
+
+
+class TwoCacheModel:
+    """libaequus as two dict TTL caches with hit/miss/negative counters."""
+
+    def __init__(self, ttl, lookup):
+        self.ttl, self.lookup = ttl, lookup
+        self.tables = {"identity": {}, "fairshare": {}}
+        self.stats = {name: {"hits": 0, "misses": 0, "negative": 0}
+                      for name in self.tables}
+
+    def _get(self, name, key, now, load):
+        entry = self.tables[name].get(key)
+        if entry is not None and now - entry[0] < self.ttl:
+            self.stats[name]["hits"] += 1
+            return entry[1]
+        self.stats[name]["misses"] += 1
+        value = load()
+        if self.ttl > 0:
+            self.tables[name][key] = (now, value)
+        return value
+
+    def resolve_identity(self, account, now):
+        def load():
+            if account not in MAPPINGS:
+                self.stats["identity"]["negative"] += 1
+                raise IdentityResolutionError(account)
+            return MAPPINGS[account]
+        return self._get("identity", account, now, load)
+
+    def lookup_fairshare(self, account, now):
+        identity = self.resolve_identity(account, now)
+
+        def load():
+            answer = self.lookup(identity)
+            self.stats["fairshare"]["negative"] += not answer[1]
+            return answer
+        return self._get("fairshare", identity, now, load)
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture(scope="module")
+def mapped_site():
+    """One static site (its engine never advances) and a socket client."""
+    from repro.serve.backend import SiteBackend
+    from repro.serve.client import SyncAequusClient
+    from repro.serve.server import AequusServer, ServerThread
+
+    engine = SimulationEngine()
+    site = AequusSite("a", engine, Network(engine),
+                      policy=PolicyTree.from_dict({"alice": 3, "bob": 1}))
+    site.uss.record_job(UsageRecord(user="alice", site="a",
+                                    start=0.0, end=600.0))
+    engine.run_until(1.0)
+    for account, identity in MAPPINGS.items():
+        site.irs.store_mapping(account, identity)
+    thread = ServerThread(AequusServer(SiteBackend.for_site(site))).start()
+    client = SyncAequusClient(thread.host, thread.port, timeout=5.0)
+    try:
+        yield site, client
+    finally:
+        client.close()
+        thread.stop()
+
+
+_CALLS = {
+    "get": lambda lib, a: lib.get_fairshare(a),
+    "lookup": lambda lib, a: lib.lookup_fairshare(a),
+    "resolve": lambda lib, a: lib.resolve_identity(a),
+    "report": lambda lib, a: lib.report_usage(a, 0.0, 10.0),
+}
+_MODEL_CALLS = {
+    "get": lambda m, a, now: m.lookup_fairshare(a, now)[0],
+    "lookup": lambda m, a, now: m.lookup_fairshare(a, now),
+    "resolve": lambda m, a, now: m.resolve_identity(a, now),
+    "report": lambda m, a, now: m.resolve_identity(a, now) and None,
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except IdentityResolutionError:
+        return "unresolved"
+
+
+class TestHitPathMatchesTheTwoCacheModel:
+    """Values, raised errors and ``cache_stats()`` after every step equal a
+    plain two-cache model's, with the clock stepping across TTL bounds."""
+
+    @pytest.mark.parametrize("ttl", [0.0, 10.0])
+    @pytest.mark.parametrize("mode", ["direct", "socket"])
+    @settings(max_examples=40, deadline=None)
+    @given(schedule=st.lists(
+        st.tuples(st.sampled_from(sorted(_CALLS)), st.sampled_from(ACCOUNTS),
+                  st.sampled_from([0.0, 1.0, 4.0, 5.0, 10.0, 11.0])),
+        max_size=40))
+    def test_schedule(self, mapped_site, mode, ttl, schedule):
+        site, client = mapped_site
+        clock = FakeClock()
+        if mode == "direct":
+            lib = LibAequus(fcs=site.fcs, uss=site.uss, irs=site.irs,
+                            site="a", cache_ttl=ttl, clock=clock)
+        else:
+            lib = LibAequus.over_socket(client, site="a", cache_ttl=ttl,
+                                        clock=clock)
+        model = TwoCacheModel(ttl, site.fcs.lookup)
+        for op, account, step in schedule:
+            clock.now += step
+            assert _outcome(lambda: _CALLS[op](lib, account)) == \
+                _outcome(lambda: _MODEL_CALLS[op](model, account, clock.now))
+            got = lib.cache_stats()
+            for name, table in model.tables.items():
+                assert {key: got[name][key] for key in model.stats[name]} \
+                    == model.stats[name]
+                assert got[name]["entries"] == len(table)

@@ -12,7 +12,8 @@ from repro.core.policy import PolicyTree
 from repro.core.usage import UsageRecord
 from repro.serve.backend import SiteBackend
 from repro.serve.client import AequusClient, SyncAequusClient
-from repro.serve.protocol import HEADER, decode_payload
+from repro.serve.protocol import (BIN_HEADER, BIN_REQ_MAGIC, HEADER,
+                                  decode_payload)
 from repro.serve.server import AequusServer, ServerThread
 from repro.services.network import Network
 from repro.services.site import AequusSite, SiteConfig
@@ -115,14 +116,29 @@ def read_json_request(sock):
     return decode_payload(body) if body else None
 
 
+def read_request(sock):
+    """One request frame of either framing (None at EOF): the JSON
+    payload, or ``(opcode, rid, body)`` for a binary frame."""
+    first = sock.recv(1, socket.MSG_PEEK)
+    if not first:
+        return None
+    if first[0] != BIN_REQ_MAGIC:
+        return read_json_request(sock)
+    head = _recv_exactly(sock, BIN_HEADER.size)
+    _, opcode, _flags, rid, body_len = BIN_HEADER.unpack(head)
+    return opcode, rid, _recv_exactly(sock, body_len)
+
+
 @contextlib.contextmanager
 def scripted_server(script):
     """A listener that runs ``script(index, sock)`` on a thread for its
     ``index``-th connection (then closes it); yields ``(host, port)``.
 
     For faults no real aequusd produces on demand: garbage, late or
-    trickled replies.  Drive it with ``binary=False`` clients so every
-    request is a JSON frame :func:`read_json_request` can read.
+    trickled replies, an opcode the server does not know.  Drive it with
+    ``binary=False`` clients so every request is a JSON frame
+    :func:`read_json_request` can read, or read both framings with
+    :func:`read_request`.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)

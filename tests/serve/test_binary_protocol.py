@@ -15,15 +15,24 @@ import random
 
 import pytest
 
+from repro.client.libaequus import LibAequus
 from repro.serve import server as server_module
+from repro.serve.backend import SiteBackend
 from repro.serve.client import (AequusServerError, AequusTransportError,
                                 SyncAequusClient)
-from repro.serve.protocol import (BF_BY_ID, BIN_HEADER, BIN_REQ_MAGIC,
+from repro.serve.protocol import (BF_BY_ID, BIN_FS_FULL, BIN_FS_REPLY,
+                                  BIN_HEADER, BIN_REP_MAGIC, BIN_REQ_MAGIC,
                                   BOP_BATCH_FAIRSHARE, BOP_GET_FAIRSHARE,
-                                  BOP_PING, BST_BAD_BATCH, BST_MALFORMED,
-                                  BST_OK, BST_OVERSIZED, BST_UNSUPPORTED_OP,
-                                  bin_request, read_bin_reply)
+                                  BOP_LOOKUP_ACCOUNT, BOP_PING, BST_BAD_BATCH,
+                                  BST_MALFORMED, BST_OK, BST_OVERSIZED,
+                                  BST_UNSUPPORTED_OP, ERR_UNKNOWN_USER,
+                                  NO_LEAF_ID, bin_error, bin_lookup_account,
+                                  bin_request, encode_frame, error_reply,
+                                  ok_reply, read_bin_reply)
 from repro.serve.server import AequusServer, ServerThread
+from repro.services.irs import IdentityResolutionError
+
+from .conftest import read_request, scripted_server
 
 
 def _bin_exchange(host, port, frames, expect_replies):
@@ -317,3 +326,117 @@ class TestBothDrivers:
         assert draws == [(0.0, min(1.0, 0.05 * 2 ** k)) for k in range(6)]
         assert client.stats["retries"] == 6
         assert client.stats["transport_errors"] == 1
+
+
+class TestLookupAccount:
+    """LOOKUP_ACCOUNT answers a cold owner in one round trip; wherever the
+    op is missing, the fallback answers the same triple."""
+
+    def test_one_round_trip_answers_identity_value_and_leaf(self, served,
+                                                            connect):
+        _, site, thread = served
+        client = connect(thread.host, thread.port, timeout=5.0)
+        client.ping()  # dial and negotiate outside the count
+        before = client.stats["requests"]
+        expected = ("alice", site.fcs.fairshare_value("alice"), True)
+        assert client.lookup_account("sys_alice") == expected
+        assert client.stats["requests"] == before + 1
+        # the identity's leaf id is remembered, as a by-name lookup does
+        assert set(client.leaf_ids) == {"alice"}
+        assert client.lookup_fairshare("alice") == expected[1:]
+
+    def test_json_only_server_falls_back_to_the_same_answer(self, small_site,
+                                                            connect):
+        _, site = small_site
+        thread = ServerThread(AequusServer(SiteBackend.for_site(site),
+                                           binary=False)).start()
+        try:
+            client = connect(thread.host, thread.port, timeout=5.0)
+            assert client.lookup_account("sys_bob") == \
+                ("bob", site.fcs.fairshare_value("bob"), True)
+            with pytest.raises(IdentityResolutionError):
+                client.lookup_account("sys_nobody")
+            assert thread.server.stats["binary_requests"] == 0
+            client.close()
+        finally:
+            thread.stop()
+
+    def test_pre_hello_server_falls_back_to_the_same_answer(
+            self, served, connect, monkeypatch):
+        _, site, thread = served
+        monkeypatch.setattr(
+            server_module, "OPS",
+            frozenset(op for op in server_module.OPS if op != "HELLO"))
+        client = connect(thread.host, thread.port, timeout=5.0)
+        assert client.lookup_account("sys_alice") == \
+            ("alice", site.fcs.fairshare_value("alice"), True)
+        assert client.stats["binary_upgrades"] == 0
+
+    def test_unsupported_opcode_falls_back_once_per_connection(self,
+                                                               connect):
+        """A binary server predating the op: the client falls back and
+        does not ask the same connection again."""
+        identities = {"sys_alice": "alice"}
+        opcodes = []
+
+        def script(index, sock):
+            while (request := read_request(sock)) is not None:
+                if isinstance(request, dict):
+                    rid, op = request["id"], request["op"]
+                    if op == "HELLO":
+                        reply = ok_reply(rid, binary=2)
+                    elif request["user"] in identities:
+                        reply = ok_reply(
+                            rid, identity=identities[request["user"]])
+                    else:
+                        reply = error_reply(rid, ERR_UNKNOWN_USER, "no")
+                    sock.sendall(encode_frame(reply))
+                    continue
+                opcode, rid, body = request
+                opcodes.append(opcode)
+                if opcode == BOP_GET_FAIRSHARE and body == b"alice":
+                    sock.sendall(BIN_FS_FULL.pack(
+                        BIN_REP_MAGIC, BST_OK, 0, rid, BIN_FS_REPLY.size,
+                        0.25, 1, 1, 1, NO_LEAF_ID))
+                else:
+                    sock.sendall(bin_error(BST_UNSUPPORTED_OP, rid, "?"))
+
+        with scripted_server(script) as (host, port):
+            client = connect(host, port, timeout=5.0, pool_size=1)
+            for _ in range(3):
+                assert client.lookup_account("sys_alice") == \
+                    ("alice", 0.25, True)
+            with pytest.raises(IdentityResolutionError):
+                client.lookup_account("sys_nobody")
+            client.close()
+        assert opcodes.count(BOP_LOOKUP_ACCOUNT) == 1
+        assert opcodes.count(BOP_GET_FAIRSHARE) == 3
+
+    def test_unknown_account_raises_is_counted_and_never_cached(
+            self, served, connect):
+        _, site, thread = served
+        client = connect(thread.host, thread.port, timeout=5.0)
+        lib = LibAequus.over_socket(client, cache_ttl=60.0)
+        for _ in range(3):
+            with pytest.raises(IdentityResolutionError):
+                lib.get_fairshare("sys_nobody")
+        stats = lib.cache_stats()
+        assert stats["identity"]["negative"] == 3
+        assert stats["identity"]["entries"] == stats["fairshare"]["entries"] \
+            == 0
+        # a mapping stored later is picked up at once
+        site.irs.store_mapping("sys_nobody", "dave")
+        assert lib.lookup_fairshare("sys_nobody") == \
+            (site.fcs.fairshare_value("dave"), True)
+
+    def test_malformed_bodies_keep_the_connection_usable(self, served):
+        _, _, thread = served
+        replies = _bin_exchange(
+            thread.host, thread.port,
+            [bin_request(BOP_LOOKUP_ACCOUNT, 1, b"\xff\xfe\xfd"),
+             bin_request(BOP_LOOKUP_ACCOUNT, 2, b""),
+             bin_lookup_account(3, "sys_bob")],
+            expect_replies=3)
+        assert [(status, rid) for status, _, rid, _ in replies] == \
+            [(BST_MALFORMED, 1), (BST_MALFORMED, 2), (BST_OK, 3)]
+        assert replies[2][3][BIN_FS_REPLY.size:] == b"bob"

@@ -65,6 +65,26 @@ class TestSingleKeyOps:
         assert reply["info"]["snapshot"]["users"] == 4
 
 
+class TestRemappedAccount:
+    @pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
+    def test_remapped_account_resolves_to_its_new_identity(self, served,
+                                                           binary):
+        """The IRS is not versioned by the snapshot seq: a mapping replaced
+        between two publishes must be answered at once, not memoised."""
+        _, site, thread = served
+        site.irs.store_mapping("sys_x", "alice")
+        with SyncAequusClient(thread.host, thread.port, binary=binary,
+                              timeout=5.0) as client:
+            assert client.resolve_identity("sys_x") == "alice"
+            site.irs.store_mapping("sys_x", "bob")  # no publish in between
+            assert client.resolve_identity("sys_x") == "bob"
+            assert client.lookup_account("sys_x") == \
+                ("bob", site.fcs.fairshare_value("bob"), True)
+            site.irs.store_mapping("sys_x", "alice")
+            assert client.lookup_account("sys_x") == \
+                ("alice", site.fcs.fairshare_value("alice"), True)
+
+
 class TestBatch:
     def test_batch_lookup(self, served, client):
         _, site, _ = served

@@ -18,6 +18,7 @@ import pytest
 from repro.serve.client import SyncAequusClient
 from repro.serve.shm import ShmSnapshotWriter
 from repro.serve.workers import WorkerPool
+from repro.services.irs import IdentityResolutionError
 
 
 def _wait(predicate, timeout=10.0, interval=0.05):
@@ -98,6 +99,21 @@ class TestShardedServing:
             assert client.report_usage("alice", 100.0, 400.0, cores=2) is True
         assert _wait(lambda: len(usage) == 1, timeout=10.0)
         assert usage[0] == ("alice", 100.0, 400.0, 2)
+
+    def test_lookup_account_answers_from_the_published_irs_table(
+            self, sharded, small_site, connect):
+        engine, _ = small_site
+        site, pool, _ = sharded
+        client = connect("127.0.0.1", pool.port, timeout=5.0)
+        identity, value, known = client.lookup_account("sys_alice")
+        assert (identity, known) == ("alice", True)
+        assert value == pytest.approx(site.fcs.fairshare_value("alice"))
+        # stored after the last publish: workers do not see it yet
+        site.irs.store_mapping("sys_carol", "carol")
+        with pytest.raises(IdentityResolutionError):
+            client.lookup_account("sys_carol")
+        engine.run_until(engine.now + site.config.fcs_refresh_interval + 1.0)
+        assert client.lookup_account("sys_carol")[::2] == ("carol", True)
 
     def test_metrics_scrape_includes_worker_lines(self, sharded):
         _, pool, _ = sharded
