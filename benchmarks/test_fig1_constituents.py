@@ -10,9 +10,8 @@ within the sibling group.
 import pytest
 
 from repro.core.distance import FairshareParameters
-from repro.core.fairshare import compute_fairshare_tree
+from repro.core.flat import FlatPolicy
 from repro.core.policy import PolicyTree
-from repro.core.usage import UsageTree
 
 
 def build_and_compute():
@@ -20,42 +19,39 @@ def build_and_compute():
         "HPC": (60, {"proj1": 3, "proj2": 1}),
         "GRID": (40, {"vo1": 1, "vo2": 1}),
     })
-    usage = UsageTree()
-    usage.set_usage("/HPC/proj1", 300.0)
-    usage.set_usage("/HPC/proj2", 100.0)
-    usage.set_usage("/GRID/vo1", 500.0)
-    usage.set_usage("/GRID/vo2", 100.0)
-    usage.roll_up()
+    usage = {"/HPC/proj1": 300.0, "/HPC/proj2": 100.0,
+             "/GRID/vo1": 500.0, "/GRID/vo2": 100.0}
     # k=1: pure absolute distance, as in the Figure 1 illustration
-    tree = compute_fairshare_tree(policy, usage=usage,
-                                  parameters=FairshareParameters(k=1.0))
+    tree = FlatPolicy(policy).compute(usage, FairshareParameters(k=1.0))
     return policy, usage, tree
 
 
 def test_fig1_constituents(benchmark, emit):
     policy, usage, tree = benchmark.pedantic(build_and_compute, rounds=1,
                                              iterations=1)
+    index = tree.flat.path_index
+    target = {p: float(tree.target_share[i]) for p, i in index.items()}
+    share = {p: float(tree.usage_share[i]) for p, i in index.items()}
     rows = []
-    for node in tree.walk():
+    for node in policy.walk():
         if node.parent is None:
             continue
-        rows.append(f"{node.path:<14} target={node.target_share:.3f} "
-                    f"usage={node.usage_share:.3f} "
-                    f"abs-distance={node.target_share - node.usage_share:+.3f}")
+        path = node.path
+        rows.append(f"{path:<14} target={target[path]:.3f} "
+                    f"usage={share[path]:.3f} "
+                    f"abs-distance={target[path] - share[path]:+.3f}")
     emit("Figure 1 - fairshare constituents (absolute distance)", rows)
 
     # the figure's arithmetic: value = policy share - usage share, per group
-    hpc = tree["/HPC"]
-    assert hpc.target_share == pytest.approx(0.6)
-    assert hpc.usage_share == pytest.approx(400.0 / 1000.0)
-    proj1 = tree["/HPC/proj1"]
-    assert proj1.target_share == pytest.approx(0.75)
-    assert proj1.usage_share == pytest.approx(0.75)  # exactly at balance
+    assert target["/HPC"] == pytest.approx(0.6)
+    assert share["/HPC"] == pytest.approx(400.0 / 1000.0)
+    assert target["/HPC/proj1"] == pytest.approx(0.75)
+    assert share["/HPC/proj1"] == pytest.approx(0.75)  # exactly at balance
     # with k=1 the priority IS the clipped absolute distance
-    assert proj1.priority == pytest.approx(0.0)
-    assert tree["/GRID"].priority == pytest.approx(0.0)  # overserved -> 0
-    assert tree["/HPC"].priority == pytest.approx(0.2)
+    assert tree.node_priority("/HPC/proj1") == pytest.approx(0.0)
+    assert tree.node_priority("/GRID") == pytest.approx(0.0)  # overserved -> 0
+    assert tree.node_priority("/HPC") == pytest.approx(0.2)
 
     # subgroup isolation: GRID's internal imbalance does not leak into HPC
-    assert tree["/HPC/proj2"].priority == pytest.approx(0.0)
-    assert tree["/GRID/vo2"].priority == pytest.approx(0.5 - 100.0 / 600.0)
+    assert tree.node_priority("/HPC/proj2") == pytest.approx(0.0)
+    assert tree.node_priority("/GRID/vo2") == pytest.approx(0.5 - 100.0 / 600.0)

@@ -9,7 +9,7 @@ structure and verify the extraction rules and the resulting ordering.
 import pytest
 
 from repro.core.distance import FairshareParameters
-from repro.core.fairshare import compute_fairshare_tree
+from repro.core.flat import FlatPolicy
 from repro.core.policy import PolicyTree
 from repro.core.vector import FairshareVector
 
@@ -25,8 +25,7 @@ def build_vectors():
     usage = {"/LQ": 100.0, "/HPC/u1": 300.0, "/HPC/u2": 20.0,
              "/SWE/proj/u3": 80.0}
     params = FairshareParameters(k=0.5, resolution=9999)
-    tree = compute_fairshare_tree(policy, per_user_usage=usage,
-                                  parameters=params)
+    tree = FlatPolicy(policy).compute(usage, params)
     return tree, tree.vectors()
 
 

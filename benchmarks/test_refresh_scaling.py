@@ -2,9 +2,8 @@
 
 Measures one full FCS-style refresh — usage shaping, fairshare computation,
 and percental projection — at 1k / 10k / 100k users, comparing the
-vectorized kernel (:mod:`repro.core.flat`) against the retained object-tree
-reference (:func:`repro.core.fairshare.compute_fairshare_tree`), and checks
-bit-level agreement on the shared scale.
+vectorized kernel (:mod:`repro.core.flat`) against the naive recursive
+reference the tests use (``tests/oracle``), and checks agreement at 1e-9.
 
 Results are printed, appended to ``benchmarks/results.txt``, and written to
 ``benchmarks/BENCH_refresh.json`` so CI can track the perf trajectory per
@@ -20,11 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.fairshare import compute_fairshare_tree
 from repro.core.flat import FlatPolicy
 from repro.core.policy import PolicyTree
 from repro.core.projection import PercentalProjection
-from repro.core.usage import build_usage_tree
+from tests import oracle
 
 JSON_PATH = Path(__file__).parent / "BENCH_refresh.json"
 
@@ -83,10 +81,8 @@ def random_usage(policy: PolicyTree, active_fraction: float = 0.7,
 
 
 def reference_refresh(policy, usage, projection):
-    """The pre-kernel FCS refresh: three object trees per call."""
-    usage_tree = build_usage_tree(policy, usage)
-    tree = compute_fairshare_tree(policy, usage=usage_tree)
-    return projection.project(tree)
+    """The naive recursive refresh: one object per node, per call."""
+    return oracle.percental(oracle.fairshare(policy, usage))
 
 
 def flat_refresh(flat, usage, projection):
@@ -111,7 +107,7 @@ def measure_tier(n_users: int, projection, repeats: int) -> dict:
     t0 = time.perf_counter()
     FlatPolicy(policy)
     compile_s = time.perf_counter() - t0
-    # the object-tree reference is impractical beyond 100k users (the 1M
+    # the recursive reference is impractical beyond 100k users (the 1M
     # row exists to characterize the kernel, not to wait on the baseline)
     ref_s = _best_of(lambda: reference_refresh(policy, usage, projection),
                      repeats) if n_users <= 100_000 else None
@@ -270,21 +266,18 @@ class TestKernelAgreesWithReference:
                              projects_per_vo=int(rng.integers(2, 10)),
                              seed=seed)
         usage = random_usage(policy, seed=seed + 100)
-        ref = compute_fairshare_tree(
-            policy, usage=build_usage_tree(policy, usage))
+        ref = oracle.fairshare(policy, usage)
         res = FlatPolicy(policy).compute(usage)
-        ref_priorities = ref.priorities()
+        ref_priorities = {n.path: n.priority for n in ref.values()
+                          if n.is_leaf}
         flat_priorities = res.priorities()
         assert set(ref_priorities) == set(flat_priorities)
         for path, value in ref_priorities.items():
             assert abs(flat_priorities[path] - value) < 1e-9
-        for node in ref.walk():
-            if node.parent is None:
-                continue
+        for node in ref.values():
             i = res.flat.path_index[node.path]
             assert abs(res.balance[i] - node.balance) < 1e-9
-        projection = PercentalProjection()
-        a = projection.project(ref)
-        b = projection.project_flat(res)
+        a = oracle.percental(ref)
+        b = PercentalProjection().project_flat(res)
         for path, value in a.items():
             assert abs(b[path] - value) < 1e-9

@@ -12,11 +12,10 @@ Run:  python examples/quickstart.py
 from repro.core import (
     ExponentialDecay,
     FairshareParameters,
+    FlatPolicy,
     PolicyTree,
     UsageHistogram,
     UsageRecord,
-    build_usage_tree,
-    compute_fairshare_tree,
     make_projection,
 )
 
@@ -62,12 +61,11 @@ print()
 # 3. The fairshare calculation: policy x usage -> fairshare tree.
 # ---------------------------------------------------------------------------
 params = FairshareParameters(k=0.5, resolution=9999)
-tree = compute_fairshare_tree(local_policy, per_user_usage=per_user,
-                              parameters=params)
+tree = FlatPolicy(local_policy).compute(per_user, params)
 
 print("== Fairshare vectors (resolution 0-9999, balance point 5000) ==")
 for path, vector in tree.vectors().items():
-    print(f"  {path:<18} {vector!r}   priority={tree.priority(path):.3f}")
+    print(f"  {path:<18} {vector!r}   priority={tree.node_priority(path):.3f}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -77,7 +75,7 @@ print("== Projected fairshare values ==")
 header = f"  {'user':<18}" + "".join(f"{name:>12}" for name in
                                      ("dictionary", "bitwise", "percental"))
 print(header)
-values = {name: make_projection(name).project(tree)
+values = {name: make_projection(name).project_flat(tree)
           for name in ("dictionary", "bitwise", "percental")}
 for path in tree.vectors():
     row = f"  {path:<18}"

@@ -95,8 +95,8 @@ thread.stop()
 # 5. Serving at scale: the same site, sharded.  Every snapshot epoch is
 #    published into double-buffered shared memory; N forked workers accept
 #    on one SO_REUSEPORT port and answer from the mapped arrays — no parent
-#    heap.  Clients negotiate the binary protocol per connection and fall
-#    back to JSON transparently.
+#    heap.  Data ops travel as binary frames, admin ops (INFO) as JSON, on
+#    one connection.
 # ---------------------------------------------------------------------------
 print(f"\n== sharded: {args.workers} workers over shared memory ==")
 writer = ShmSnapshotWriter(site.name)
@@ -110,8 +110,7 @@ with WorkerPool(writer.name, args.workers, site=site.name) as pool:
               f"binary v{server['binary']})")
         value, known = shard.lookup_fairshare("u0")
         print(f"fairshare(u0) = {value:.6f} (known={known}) "
-              f"over binary protocol "
-              f"(upgrades={shard.stats['binary_upgrades']})")
+              f"over binary protocol")
         batch = shard.batch_lookup_fairshare([f"u{i}" for i in range(5)])
         print(f"binary batch of 5: "
               f"{[round(v, 4) for v, _ in batch.values()]}")

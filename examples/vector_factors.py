@@ -20,8 +20,8 @@ Run:  python examples/vector_factors.py
 from repro.core import (
     AgeVectorFactor,
     CompositeVectorPriority,
+    FlatPolicy,
     PolicyTree,
-    compute_fairshare_tree,
 )
 from repro.rms.job import Job
 
@@ -30,8 +30,7 @@ policy = PolicyTree.from_dict({
     "phys": (1, {"cara": 1}),
 })
 usage = {"/chem/anna": 500.0, "/chem/bert": 450.0, "/phys/cara": 1000.0}
-tree = compute_fairshare_tree(policy, per_user_usage=usage)
-vectors = tree.vectors()
+vectors = FlatPolicy(policy).compute(usage).vectors()
 
 NOW = 7200.0
 jobs = {

@@ -1,4 +1,4 @@
-"""Core Aequus fairshare machinery: policies, usage, fairshare trees,
+"""Core Aequus fairshare machinery: policies, usage, the fairshare kernel,
 vectors, and projections (the paper's primary contribution)."""
 
 from .decay import (
@@ -16,7 +16,6 @@ from .distance import (
     combined_priority,
     relative_distance,
 )
-from .fairshare import FairshareNode, FairshareTree, compute_fairshare_tree
 from .flat import FlatFairshare, FlatPolicy, compute_fairshare_flat
 from .policy import PolicyError, PolicyNode, PolicyTree, parse_policy
 from .projection import (
@@ -27,7 +26,7 @@ from .projection import (
     make_projection,
 )
 from .tree import Tree, TreeNode
-from .usage import UsageHistogram, UsageNode, UsageRecord, UsageTree, build_usage_tree
+from .usage import UsageHistogram, UsageRecord
 from .vector import FairshareVector
 from .vectorfactors import (
     AgeVectorFactor,
@@ -42,13 +41,12 @@ __all__ = [
     "SlidingWindowDecay", "StepDecay",
     "FairshareParameters", "absolute_distance", "balance_score",
     "combined_priority", "relative_distance",
-    "FairshareNode", "FairshareTree", "compute_fairshare_tree",
     "FlatFairshare", "FlatPolicy", "compute_fairshare_flat",
     "PolicyError", "PolicyNode", "PolicyTree", "parse_policy",
     "BitwiseVectorProjection", "DictionaryOrderingProjection",
     "PercentalProjection", "Projection", "make_projection",
     "Tree", "TreeNode",
-    "UsageHistogram", "UsageNode", "UsageRecord", "UsageTree", "build_usage_tree",
+    "UsageHistogram", "UsageRecord",
     "FairshareVector",
     "AgeVectorFactor", "CompositeVectorPriority", "JobSizeVectorFactor",
     "QosVectorFactor", "VectorFactor",

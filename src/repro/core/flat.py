@@ -1,10 +1,12 @@
-"""Array-backed fairshare kernel: the policy tree flattened to NumPy arrays.
+"""The fairshare kernel: the policy tree flattened to NumPy arrays.
 
-The object-tree fairshare computation (:func:`repro.core.fairshare.
-compute_fairshare_tree`) rebuilds three Python trees per FCS refresh and
-re-walks every leaf's path for vector extraction and the percental
-projection.  At grid scale (10⁴–10⁶ users) that recursive Python hot path
-dominates every benchmark scenario.
+This is the paper's fairshare calculation (Figure 1): for every node of
+the entity hierarchy, compare the node's *target* share (normalized policy
+weight within its sibling group) with its *actual* share (decayed usage
+within the same sibling group), giving a priority ``k·absolute +
+(1−k)·relative`` and a balance score in ``[0, 1]`` centered at 0.5 — the
+element fairshare vectors are made of.  Per-sibling-group normalization is
+what gives top-down *subgroup isolation*.
 
 This module lowers a :class:`~repro.core.policy.PolicyTree` into parallel
 arrays *once per policy epoch* (:class:`FlatPolicy`) and then evaluates a
@@ -38,9 +40,9 @@ PolicyEdit` journal suffix against the compiled form, and
 :meth:`FlatPolicy.compute_delta` re-evaluates only the sibling groups
 touched by a set of dirty leaves.
 
-The object-tree :class:`~repro.core.fairshare.FairshareTree` API remains
-available as a thin materialized view (:meth:`FlatFairshare.to_tree`) so
-existing tests and figures are unaffected.
+It is the only kernel: services, figures and examples all evaluate through
+:meth:`FlatPolicy.compute`.  The tests pin it to a deliberately naive
+recursive reference that lives with them (``tests/oracle``).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .distance import FairshareParameters
-from .fairshare import FairshareNode, FairshareTree
 from .policy import PolicyEdit, PolicyTree
 from .vector import FairshareVector
 
@@ -146,8 +147,8 @@ class FlatPolicy:
         self.live_child_count = np.asarray(child_count, dtype=np.int64)
         self.child_gid = np.asarray(child_gid, dtype=np.int64)
 
-        # bare-name resolution must match the object-tree services exactly:
-        # first leaf in *pre-order* wins (Tree.leaves() traversal order)
+        # bare-name resolution: first leaf in *pre-order* wins
+        # (Tree.leaves() traversal order)
         self.by_name: Dict[str, str] = {}
         self.name_collisions = 0
         for leaf in policy.leaves():
@@ -230,8 +231,8 @@ class FlatPolicy:
         """Decayed usage totals as a dense per-leaf vector.
 
         Keys are leaf paths or bare leaf names (the UMS output format);
-        later keys targeting the same leaf overwrite earlier ones, matching
-        :func:`~repro.core.usage.build_usage_tree` assignment semantics.
+        later keys targeting the same leaf overwrite earlier ones.  Keys
+        that name no leaf are ignored: policy enforcement is the PDS's job.
         """
         vec = np.zeros(self.n_leaves, dtype=np.float64)
         for key, value in per_user_usage.items():
@@ -266,7 +267,15 @@ class FlatPolicy:
     def compute(self, per_user_usage: Optional[Mapping[str, float]] = None,
                 parameters: Optional[FairshareParameters] = None,
                 leaf_usage: Optional[np.ndarray] = None) -> "FlatFairshare":
-        """Evaluate one refresh: all node values in a handful of array ops."""
+        """Evaluate one refresh: all node values in a handful of array ops.
+
+        Usage comes either as ``per_user_usage`` (see
+        :meth:`leaf_usage_vector`) or as a dense ``leaf_usage`` vector in
+        leaf-row order, not both.
+        """
+        if per_user_usage is not None and leaf_usage is not None:
+            raise ValueError("pass either per-user usage or a leaf usage "
+                             "vector, not both")
         params = parameters or FairshareParameters()
         if leaf_usage is None:
             leaf_usage = self.leaf_usage_vector(per_user_usage or {})
@@ -715,9 +724,8 @@ class FlatPolicy:
 class FlatFairshare:
     """One refresh worth of fairshare values over a :class:`FlatPolicy`.
 
-    Everything the services and projections consume — leaf vectors, path
-    share products, priorities — is served from arrays; the object tree is
-    materialized only on demand (:meth:`to_tree`).
+    Everything the services and projections consume — vectors, path share
+    products, priorities — is served from arrays.
     """
 
     __slots__ = ("flat", "parameters", "usage", "usage_share", "priority",
@@ -795,10 +803,15 @@ class FlatFairshare:
         return dict(zip(self.flat.leaf_paths, pr.tolist()))
 
     def vector(self, path: str) -> FairshareVector:
-        row = self.flat.leaf_slot[path]
-        depth = int(self.leaf_depths[row])
-        elems = self.element_matrix()[row, :depth]
-        return FairshareVector(elems.tolist(), self.parameters.resolution)
+        """Balances on the root→node path of any node, leaf or internal."""
+        flat = self.flat
+        chain = []
+        i = flat.path_index[path]
+        while i >= 0:
+            chain.append(i)
+            i = int(flat.parent[i])
+        return FairshareVector.from_scores(self.balance[chain[::-1]].tolist(),
+                                           self.parameters.resolution)
 
     def vectors(self) -> Dict[str, FairshareVector]:
         matrix = self.element_matrix()
@@ -818,34 +831,6 @@ class FlatFairshare:
         if self._element_matrix is not None:
             total += self._element_matrix.nbytes
         return int(total)
-
-    # -- object-tree view ---------------------------------------------------
-
-    def to_tree(self) -> FairshareTree:
-        """Materialize the classic :class:`FairshareTree` (thin view).
-
-        Children are attached in row order per parent (the policy's
-        original insertion order for freshly compiled layouts); tombstoned
-        rows are skipped.
-        """
-        flat = self.flat
-        out = FairshareTree(self.parameters)
-        nodes: List[Optional[FairshareNode]] = []
-        for i in range(flat.n_nodes):
-            if flat.dead[i]:
-                nodes.append(None)
-                continue
-            node = FairshareNode(
-                flat.names[i],
-                target_share=float(self.target_share[i]),
-                usage_share=float(self.usage_share[i]),
-                priority=float(self.priority[i]),
-                balance=float(self.balance[i]),
-            )
-            nodes.append(node)
-            parent = flat.parent[i]
-            (out.root if parent < 0 else nodes[parent]).add_child(node)  # type: ignore[union-attr]
-        return out
 
 
 def compute_fairshare_flat(policy: PolicyTree,

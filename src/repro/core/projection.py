@@ -23,15 +23,24 @@ at run time):
     precision, and proportionality but gives up subgroup isolation — the
     approach of SLURM prior to 2.5, and the configuration used in
     production and throughout the paper's evaluation.
+
+Each projection has exactly one implementation, over arrays:
+:meth:`Projection.project_flat_array` maps a refresh result
+(:class:`~repro.core.flat.FlatFairshare`) to one value per leaf row, and
+the dict surface :meth:`Projection.project_flat` is derived from it once,
+in the base class.  The two vector projections run that same array code on
+raw :class:`~repro.core.vector.FairshareVector` families too
+(``project_vectors`` / ``project_one``, which Table I's probes call): the
+vectors are stacked into the balance-point-padded element matrix a refresh
+result carries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .fairshare import FairshareTree
 from .vector import FairshareVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flat imports us not)
@@ -47,39 +56,47 @@ __all__ = [
 
 
 class Projection:
-    """Base class: maps every user (leaf) of a fairshare tree to [0, 1]."""
+    """Base class: maps every user (leaf) of a fairshare refresh to [0, 1].
+
+    Subclasses implement :meth:`project_flat_array`; everything else is
+    derived from it.
+    """
 
     name: str = "abstract"
 
-    def project(self, tree: FairshareTree) -> Dict[str, float]:
-        raise NotImplementedError
-
     def project_flat(self, result: "FlatFairshare") -> Dict[str, float]:
-        """Project from an array-backed refresh (:mod:`repro.core.flat`).
-
-        The built-in projections override this with vectorized
-        implementations; custom projections fall back to the object-tree
-        path via the materialized view.
-        """
-        return self.project(result.to_tree())
+        """Projected values keyed by leaf path."""
+        return dict(zip(result.leaf_paths,
+                        self.project_flat_array(result).tolist()))
 
     def project_flat_array(self, result: "FlatFairshare") -> np.ndarray:
         """Projected values as a float64 array aligned with
         ``result.leaf_paths``.
 
-        The built-in projections compute this form directly (their dict
-        surface is derived from it); custom projections fall back through
-        their dict output.  The array surface lets consumers that hold
-        results from several sites with one shared policy — the fairness
-        recorder's cross-site divergence — compare values without any
-        per-user dict traffic.
+        The array surface lets consumers that hold results from several
+        sites with one shared policy — the fairness recorder's cross-site
+        divergence — compare values without any per-user dict traffic.
         """
-        values = self.project_flat(result)
-        return np.array([values[p] for p in result.leaf_paths],
-                        dtype=np.float64)
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def _padded_matrix(vectors: Iterable[FairshareVector]
+                   ) -> Tuple[np.ndarray, int]:
+    """Raw vectors as one element matrix, balance-point padded to the
+    deepest (the layout of :meth:`FlatFairshare.element_matrix`), plus
+    their common resolution."""
+    vectors = list(vectors)
+    if not vectors:
+        return np.empty((0, 0), dtype=np.float64), 1
+    resolution = vectors[0].resolution
+    if any(v.resolution != resolution for v in vectors):
+        raise ValueError("vectors of different resolutions do not compare")
+    depth = max(v.depth for v in vectors)
+    return (np.array([v.padded(depth) for v in vectors], dtype=np.float64),
+            resolution)
 
 
 class DictionaryOrderingProjection(Projection):
@@ -91,27 +108,24 @@ class DictionaryOrderingProjection(Projection):
 
     name = "dictionary"
 
-    def project(self, tree: FairshareTree) -> Dict[str, float]:
-        return self.project_vectors(tree.vectors())
-
-    def project_flat(self, result: "FlatFairshare") -> Dict[str, float]:
-        return dict(zip(result.leaf_paths,
-                        self.project_flat_array(result).tolist()))
-
     def project_flat_array(self, result: "FlatFairshare") -> np.ndarray:
-        """Rank all leaf rows at once via a columnar lexicographic sort.
+        return self._rank(result.element_matrix())
 
-        Rows of the element matrix are balance-point padded, so comparing
-        them column-by-column is exactly the padded-vector comparison the
-        object path performs pair-by-pair.
+    def project_vectors(self, vectors: Mapping[str, FairshareVector]
+                        ) -> Dict[str, float]:
+        matrix, _ = _padded_matrix(vectors.values())
+        return dict(zip(vectors, self._rank(matrix).tolist()))
+
+    @staticmethod
+    def _rank(matrix: np.ndarray) -> np.ndarray:
+        """Rank all rows at once via a columnar lexicographic sort.
+
+        Rows are balance-point padded, so comparing them column by column
+        is exactly the padded :class:`FairshareVector` comparison.
         """
-        matrix = result.element_matrix()
         n, depth = matrix.shape
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if depth == 0:
-            # degenerate single-level-free tree: all vectors equal
-            return np.full(n, n / (n + 1), dtype=np.float64)
         # np.lexsort treats the *last* key as primary; feed columns reversed
         # and flip for a descending (best-first) order
         order = np.lexsort(tuple(matrix[:, c] for c in range(depth - 1, -1, -1)))[::-1]
@@ -123,20 +137,6 @@ class DictionaryOrderingProjection(Projection):
         values_sorted = (n - boundaries[group]) / (n + 1)
         values = np.empty(n, dtype=np.float64)
         values[order] = values_sorted
-        return values
-
-    def project_vectors(self, vectors: Mapping[str, FairshareVector]) -> Dict[str, float]:
-        paths = list(vectors)
-        if not paths:
-            return {}
-        n = len(paths)
-        order = sorted(paths, key=lambda p: vectors[p], reverse=True)
-        values: Dict[str, float] = {}
-        rank = 0
-        for i, path in enumerate(order):
-            if i > 0 and vectors[path] != vectors[order[i - 1]]:
-                rank = i
-            values[path] = (n - rank) / (n + 1)
         return values
 
 
@@ -153,33 +153,6 @@ class BitwiseVectorProjection(Projection):
 
     name = "bitwise"
 
-    def project_flat(self, result: "FlatFairshare") -> Dict[str, float]:
-        return dict(zip(result.leaf_paths,
-                        self.project_flat_array(result).tolist()))
-
-    def project_flat_array(self, result: "FlatFairshare") -> np.ndarray:
-        """Pack all leaves at once.
-
-        Per-level quantized values stay below ``2**bits_per_level`` and the
-        packed total below ``2**52``, so float64 accumulation is exact and
-        matches the object path's Python-int packing bit for bit.
-        """
-        matrix = result.element_matrix()
-        n, depth = matrix.shape
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        levels = self.max_levels
-        quantum = (1 << self.bits_per_level) - 1
-        resolution = float(result.parameters.resolution)
-        balance = result.parameters.balance_point
-        packed = np.zeros(n, dtype=np.float64)
-        for i in range(levels):
-            elem = matrix[:, i] if i < depth else np.full(n, balance)
-            q = np.clip(np.rint(elem / resolution * quantum), 0, quantum)
-            packed = packed * (quantum + 1) + q
-        packed /= float((1 << (self.bits_per_level * levels)) - 1)
-        return packed
-
     def __init__(self, bits_per_level: int = 16, max_levels: Optional[int] = None):
         if not 1 <= bits_per_level <= 52:
             raise ValueError("bits_per_level must lie in [1, 52]")
@@ -189,22 +162,37 @@ class BitwiseVectorProjection(Projection):
         if self.max_levels < 1:
             raise ValueError("configuration leaves no representable levels")
 
-    def project(self, tree: FairshareTree) -> Dict[str, float]:
-        return self.project_vectors(tree.vectors())
+    def project_flat_array(self, result: "FlatFairshare") -> np.ndarray:
+        return self._pack(result.element_matrix(),
+                          result.parameters.resolution)
 
-    def project_vectors(self, vectors: Mapping[str, FairshareVector]) -> Dict[str, float]:
-        return {path: self.project_one(vec) for path, vec in vectors.items()}
+    def project_vectors(self, vectors: Mapping[str, FairshareVector]
+                        ) -> Dict[str, float]:
+        matrix, resolution = _padded_matrix(vectors.values())
+        return dict(zip(vectors, self._pack(matrix, resolution).tolist()))
 
     def project_one(self, vector: FairshareVector) -> float:
+        return float(self._pack(np.array([vector.elements]),
+                                vector.resolution)[0])
+
+    def _pack(self, matrix: np.ndarray, resolution: int) -> np.ndarray:
+        """Pack every row at once.
+
+        Per-level quantized values stay below ``2**bits_per_level`` and the
+        packed total below ``2**52``, so float64 accumulation is exact:
+        the same bits as integer shift-and-or packing.
+        """
+        n, depth = matrix.shape
         levels = self.max_levels
         quantum = (1 << self.bits_per_level) - 1
-        balance = vector.balance_point
-        packed = 0
+        balance = resolution / 2.0
+        packed = np.zeros(n, dtype=np.float64)
         for i in range(levels):
-            elem = vector.elements[i] if i < vector.depth else balance
-            q = int(round(elem / vector.resolution * quantum))
-            packed = (packed << self.bits_per_level) | min(max(q, 0), quantum)
-        return packed / float((1 << (self.bits_per_level * levels)) - 1)
+            elem = matrix[:, i] if i < depth else np.full(n, balance)
+            q = np.clip(np.rint(elem / float(resolution) * quantum), 0, quantum)
+            packed = packed * (quantum + 1) + q
+        packed /= float((1 << (self.bits_per_level * levels)) - 1)
+        return packed
 
 
 class PercentalProjection(Projection):
@@ -216,18 +204,6 @@ class PercentalProjection(Projection):
     """
 
     name = "percental"
-
-    def project(self, tree: FairshareTree) -> Dict[str, float]:
-        values: Dict[str, float] = {}
-        for leaf in tree.leaves():
-            path = leaf.path
-            diff = tree.target_total_share(path) - tree.usage_total_share(path)
-            values[path] = min(max((diff + 1.0) / 2.0, 0.0), 1.0)
-        return values
-
-    def project_flat(self, result: "FlatFairshare") -> Dict[str, float]:
-        return dict(zip(result.leaf_paths,
-                        self.project_flat_array(result).tolist()))
 
     def project_flat_array(self, result: "FlatFairshare") -> np.ndarray:
         target_total, usage_total = result.path_products()

@@ -1,4 +1,4 @@
-"""Usage accounting: per-job records, per-user histograms, usage trees.
+"""Usage accounting: per-job records and per-user histograms.
 
 Mirrors the data side of the Aequus pipeline (paper Section II-A):
 
@@ -7,9 +7,11 @@ Mirrors the data side of the Aequus pipeline (paper Section II-A):
 * the Usage Statistics Service aggregates records into per-user
   :class:`UsageHistogram` bins of a configurable interval — the *compact
   form* exchanged between sites ("relaying the combined usage of each user
-  on each site while omitting the details of individual jobs");
-* a :class:`UsageTree` mirrors the policy-tree structure with decayed
-  per-node usage, ready for the fairshare calculation.
+  on each site while omitting the details of individual jobs").
+
+Decayed per-user totals feed the fairshare kernel
+(:meth:`repro.core.flat.FlatPolicy.compute`), which rolls them up the
+policy tree.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .decay import DecayFunction, NoDecay
-from .tree import Tree, TreeNode
 
-__all__ = ["UsageRecord", "UsageHistogram", "UsageNode", "UsageTree", "build_usage_tree"]
+__all__ = ["UsageRecord", "UsageHistogram"]
 
 
 @dataclass(frozen=True)
@@ -413,91 +414,3 @@ class UsageHistogram:
         for h in histograms:
             out.merge(h)
         return out
-
-
-class UsageNode(TreeNode):
-    """Usage-tree node: decayed usage of the entity rooted here."""
-
-    __slots__ = ("usage",)
-
-    def __init__(self, name: str, usage: float = 0.0,
-                 parent: Optional["UsageNode"] = None):
-        super().__init__(name, parent)
-        self.usage = float(usage)
-
-    @property
-    def sibling_share(self) -> float:
-        """Usage share within the sibling group (0 if the group is idle).
-
-        This per-group normalization is what gives Aequus *subgroup
-        isolation*: an entity's balance is judged only against its siblings.
-        """
-        if self.parent is None:
-            return 1.0
-        total = sum(c.usage for c in self.parent.children.values())  # type: ignore[attr-defined]
-        if total <= 0:
-            return 0.0
-        return self.usage / total
-
-    @property
-    def total_usage_share(self) -> float:
-        """Product of sibling shares down the path (percental projection)."""
-        share = 1.0
-        node: Optional[UsageNode] = self
-        while node is not None and node.parent is not None:
-            share *= node.sibling_share
-            node = node.parent  # type: ignore[assignment]
-        return share
-
-
-class UsageTree(Tree):
-    node_class = UsageNode
-    root: UsageNode
-
-    def __init__(self, root: Optional[UsageNode] = None):
-        super().__init__(root if root is not None else UsageNode(""))
-
-    def set_usage(self, path: str, usage: float) -> UsageNode:
-        node = self.ensure_path(path)
-        node.usage = float(usage)  # type: ignore[attr-defined]
-        return node  # type: ignore[return-value]
-
-    def roll_up(self) -> None:
-        """Set every internal node's usage to the sum of its children.
-
-        Leaf usage is taken as authoritative; pre-existing internal values
-        are overwritten (internal entities consume only through members).
-        """
-
-        def visit(node: UsageNode) -> float:
-            if node.is_leaf:
-                return node.usage
-            node.usage = sum(visit(c) for c in node.children.values())  # type: ignore[arg-type]
-            return node.usage
-
-        visit(self.root)
-
-
-def build_usage_tree(structure: Tree, per_user_usage: Mapping[str, float]) -> UsageTree:
-    """Build a usage tree mirroring ``structure`` (normally the policy tree).
-
-    ``per_user_usage`` maps *leaf paths* (or bare grid identities matching
-    leaf names) to decayed usage totals.  Users present in the usage data
-    but absent from the structure are ignored here — policy enforcement is
-    the PDS's job; unknown users are handled upstream by mapping them to a
-    default group.
-    """
-    usage_tree = UsageTree()
-    by_name: Dict[str, str] = {}
-    for leaf in structure.leaves():
-        usage_tree.ensure_path(leaf.path)
-        by_name.setdefault(leaf.name, leaf.path)
-    for key, usage in per_user_usage.items():
-        path = key if key.startswith("/") else by_name.get(key)
-        if path is None:
-            continue
-        node = usage_tree.find(path)
-        if node is not None:
-            node.usage = float(usage)  # type: ignore[attr-defined]
-    usage_tree.roll_up()
-    return usage_tree

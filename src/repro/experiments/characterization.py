@@ -26,10 +26,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.fairshare import FairshareTree, compute_fairshare_tree
+from ..core.flat import FlatFairshare, FlatPolicy
 from ..core.policy import PolicyTree
 from ..core.projection import Projection, make_projection
-from ..core.usage import UsageTree
 
 __all__ = ["ProjectionCharacterization", "characterize_projections"]
 
@@ -49,10 +48,10 @@ class ProjectionCharacterization:
 
 
 def _random_tree(rng: np.random.Generator, max_groups: int = 3,
-                 max_users: int = 4) -> FairshareTree:
+                 max_users: int = 4) -> FlatFairshare:
     """A random two-level hierarchy with random weights and usage."""
     spec: Dict = {}
-    usage = UsageTree()
+    usage: Dict[str, float] = {}
     n_groups = int(rng.integers(1, max_groups + 1))
     for g in range(n_groups):
         users = {f"u{g}_{i}": float(rng.uniform(0.2, 5.0))
@@ -61,18 +60,15 @@ def _random_tree(rng: np.random.Generator, max_groups: int = 3,
     policy = PolicyTree.from_dict(spec)
     for leaf in policy.leaves():
         if rng.random() < 0.85:  # some users stay idle
-            usage.set_usage(leaf.path, float(rng.exponential(100.0)))
-        else:
-            usage.ensure_path(leaf.path)
-    usage.roll_up()
-    return compute_fairshare_tree(policy, usage=usage)
+            usage[leaf.path] = float(rng.exponential(100.0))
+    return FlatPolicy(policy).compute(usage)
 
 
-def _order_fidelity(projection: Projection, trees: List[FairshareTree]) -> float:
+def _order_fidelity(projection: Projection, trees: List[FlatFairshare]) -> float:
     agree = total = 0
     for tree in trees:
         vectors = tree.vectors()
-        values = projection.project(tree)
+        values = projection.project_flat(tree)
         paths = list(vectors)
         for i, a in enumerate(paths):
             for b in paths[i + 1:]:
@@ -94,14 +90,12 @@ def _proportionality_error(projection: Projection,
     for _ in range(samples):
         n = int(rng.integers(3, 6))
         policy = PolicyTree.from_dict({f"u{i}": 1 for i in range(n)})
-        usage = UsageTree()
         raw = np.sort(rng.uniform(0.0, 200.0, size=n))
-        for i, u in enumerate(raw):
-            usage.set_usage(f"/u{i}", float(u))
-        usage.roll_up()
-        tree = compute_fairshare_tree(policy, usage=usage)
-        balances = {leaf.path: leaf.balance for leaf in tree.leaves()}
-        values = projection.project(tree)
+        tree = FlatPolicy(policy).compute(
+            {f"/u{i}": float(u) for i, u in enumerate(raw)})
+        balances = dict(zip(tree.leaf_paths,
+                            tree.balance[tree.flat.leaf_index].tolist()))
+        values = projection.project_flat(tree)
         order = sorted(balances, key=balances.get)
         for i in range(len(order) - 2):
             a, b, c = order[i], order[i + 1], order[i + 2]
@@ -135,12 +129,8 @@ def _isolation_violations(projection: Projection,
         })
 
         def project(usage_map):
-            usage = UsageTree()
-            for path, value in usage_map.items():
-                usage.set_usage(path, value)
-            usage.roll_up()
-            tree = compute_fairshare_tree(policy, usage=usage)
-            return projection.project(tree), tree
+            tree = FlatPolicy(policy).compute(usage_map)
+            return projection.project_flat(tree), tree
 
         values1, tree1 = project(base_usage)
         perturbed = dict(base_usage)

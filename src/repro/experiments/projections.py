@@ -30,12 +30,9 @@ combinable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping
+from typing import Dict, List
 
-import numpy as np
-
-from ..core.distance import FairshareParameters
-from ..core.fairshare import FairshareTree, compute_fairshare_tree
+from ..core.flat import FlatFairshare, FlatPolicy
 from ..core.policy import PolicyTree
 from ..core.projection import (
     BitwiseVectorProjection,
@@ -43,7 +40,6 @@ from ..core.projection import (
     PercentalProjection,
     Projection,
 )
-from ..core.usage import UsageTree
 from ..core.vector import FairshareVector
 
 __all__ = ["ProjectionProbeResult", "probe_projection", "regenerate_table1",
@@ -71,12 +67,6 @@ class ProjectionProbeResult:
         marks = "  ".join(
             f"{prop}={'Y' if ok else 'n'}" for prop, ok in self.properties.items())
         return f"{self.name:<12} {marks}"
-
-
-def _vector_projector(projection: Projection) -> Callable[[Mapping[str, FairshareVector]], Dict[str, float]]:
-    if hasattr(projection, "project_vectors"):
-        return projection.project_vectors  # type: ignore[return-value]
-    raise TypeError(f"{projection} does not project raw vectors")
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +145,14 @@ def _probe_combinable_vectors(project) -> bool:
 # probes through full trees (percental needs total shares)
 # ---------------------------------------------------------------------------
 
-def _two_group_tree(u3_usage: float) -> FairshareTree:
+def _two_group_tree(u3_usage: float) -> FlatFairshare:
     """Two projects with two users each; g2's internal balance is varied."""
     policy = PolicyTree.from_dict({
         "g1": (1, {"u1": 1, "u2": 1}),
         "g2": (1, {"u3": 1, "u4": 1}),
     })
-    usage = UsageTree()
-    usage.set_usage("/g1/u1", 10.0)
-    usage.set_usage("/g1/u2", 40.0)
-    usage.set_usage("/g2/u3", u3_usage)
-    usage.set_usage("/g2/u4", 50.0)
-    usage.roll_up()
-    return compute_fairshare_tree(policy, usage=usage)
+    return FlatPolicy(policy).compute({"/g1/u1": 10.0, "/g1/u2": 40.0,
+                                       "/g2/u3": u3_usage, "/g2/u4": 50.0})
 
 
 def _probe_isolation_tree(projection: Projection) -> bool:
@@ -180,8 +165,8 @@ def _probe_isolation_tree(projection: Projection) -> bool:
         this lexicographically; percental's total-share products let the
         deep within-group imbalance outweigh the top-level one.
     """
-    before = projection.project(_two_group_tree(u3_usage=5.0))
-    after = projection.project(_two_group_tree(u3_usage=400.0))
+    before = projection.project_flat(_two_group_tree(u3_usage=5.0))
+    after = projection.project_flat(_two_group_tree(u3_usage=400.0))
     stable = (before["/g1/u1"] > before["/g1/u2"]) == \
              (after["/g1/u1"] > after["/g1/u2"])
 
@@ -189,76 +174,38 @@ def _probe_isolation_tree(projection: Projection) -> bool:
         "A": (1, {"a_big": 9, "a_small": 1}),
         "B": (1, {"b_user": 1}),
     })
-    usage = UsageTree()
     # A consumed 70% of the system (overserved); within A, the 90%-entitled
     # a_big consumed almost nothing.  B consumed 30% (underserved).
-    usage.set_usage("/A/a_big", 1.0)
-    usage.set_usage("/A/a_small", 69.0)
-    usage.set_usage("/B/b_user", 30.0)
-    usage.roll_up()
-    tree = compute_fairshare_tree(policy, usage=usage)
-    values = projection.project(tree)
+    values = projection.project_flat(FlatPolicy(policy).compute(
+        {"/A/a_big": 1.0, "/A/a_small": 69.0, "/B/b_user": 30.0}))
     # top-down enforcement: underserved group B's user must outrank both
     top_down = values["/B/b_user"] > values["/A/a_big"]
     return stable and top_down
-
-
-def _flat_tree(scores: List[float]) -> FairshareTree:
-    """Flat tree with equal targets and usage tuned for given balances."""
-    policy = PolicyTree.from_dict({f"u{i}": 1 for i in range(len(scores))})
-    # balance score b = k*(0.5 + (s-u)/2) + (1-k)*s/(s+u); invert numerically
-    usage = UsageTree()
-    n = len(scores)
-    s = 1.0 / n
-    for i, b in enumerate(scores):
-        lo, hi = 0.0, 1e6
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            from ..core.distance import balance_score
-            if balance_score(s, mid) > b:
-                lo = mid
-            else:
-                hi = mid
-        usage.set_usage(f"/u{i}", (lo + hi) / 2)
-    usage.roll_up()
-    return compute_fairshare_tree(policy, usage=usage)
 
 
 def _probe_depth_tree(projection: Projection) -> bool:
     """A deep hierarchy: differences at level 5 must survive."""
     deep: Dict = {"lvl": (1, {"a": (1, {"b": (1, {"c": (1, {"ua": 1, "ub": 1})})})})}
     policy = PolicyTree.from_dict(deep)
-    usage = UsageTree()
-    usage.set_usage("/lvl/a/b/c/ua", 10.0)
-    usage.set_usage("/lvl/a/b/c/ub", 90.0)
-    usage.roll_up()
-    tree = compute_fairshare_tree(policy, usage=usage)
-    values = projection.project(tree)
+    values = projection.project_flat(FlatPolicy(policy).compute(
+        {"/lvl/a/b/c/ua": 10.0, "/lvl/a/b/c/ub": 90.0}))
     return values["/lvl/a/b/c/ua"] > values["/lvl/a/b/c/ub"]
 
 
 def _probe_precision_tree(projection: Projection) -> bool:
     policy = PolicyTree.from_dict({"u1": 1, "u2": 1})
-    usage = UsageTree()
-    usage.set_usage("/u1", 100.0)
-    usage.set_usage("/u2", 100.0 * (1 + 1e-9))
-    usage.roll_up()
-    tree = compute_fairshare_tree(policy, usage=usage)
-    values = projection.project(tree)
+    values = projection.project_flat(FlatPolicy(policy).compute(
+        {"/u1": 100.0, "/u2": 100.0 * (1 + 1e-9)}))
     return values["/u1"] > values["/u2"]
 
 
 def _probe_proportional_tree(projection: Projection) -> bool:
     """Unequal usage gaps must be reflected proportionally in the values."""
     policy = PolicyTree.from_dict({f"u{i}": 1 for i in range(3)})
-    usage = UsageTree()
     # usage shares 0.6/0.3/0.1: target-usage diffs -0.267/0.033/0.233,
     # so value gaps have ratio (0.233-0.033)/(0.033+0.267) = 2/3
-    for i, u in enumerate([0.6, 0.3, 0.1]):
-        usage.set_usage(f"/u{i}", u)
-    usage.roll_up()
-    tree = compute_fairshare_tree(policy, usage=usage)
-    values = projection.project(tree)
+    values = projection.project_flat(FlatPolicy(policy).compute(
+        {f"/u{i}": u for i, u in enumerate([0.6, 0.3, 0.1])}))
     gap_01 = values["/u1"] - values["/u0"]
     gap_12 = values["/u2"] - values["/u1"]
     if gap_01 <= 0 or gap_12 <= 0:
@@ -268,8 +215,7 @@ def _probe_proportional_tree(projection: Projection) -> bool:
 
 
 def _probe_combinable_tree(projection: Projection) -> bool:
-    tree = _two_group_tree(u3_usage=5.0)
-    values = projection.project(tree)
+    values = projection.project_flat(_two_group_tree(u3_usage=5.0))
     return all(0.0 <= v <= 1.0 for v in values.values())
 
 
@@ -281,7 +227,7 @@ def probe_projection(name: str) -> ProjectionProbeResult:
     """Run all five property probes against one projection algorithm."""
     if name == "dictionary":
         projection = DictionaryOrderingProjection()
-        project = _vector_projector(projection)
+        project = projection.project_vectors
         return ProjectionProbeResult(name, {
             "depth": _probe_depth_vectors(project),
             "precision": _probe_precision_vectors(project),
@@ -292,7 +238,7 @@ def probe_projection(name: str) -> ProjectionProbeResult:
         })
     if name == "bitwise":
         projection = BitwiseVectorProjection(bits_per_level=10)
-        project = _vector_projector(projection)
+        project = projection.project_vectors
         return ProjectionProbeResult(name, {
             "depth": _probe_depth_vectors(project),
             "precision": _probe_precision_vectors(project),

@@ -46,7 +46,7 @@ class SiteBackend:
         self.irs = irs
         self.uss = uss
         self.store = store if store is not None else SnapshotStore.for_fcs(fcs)
-        #: serializes IRS table mutation and lazy vector-matrix computation
+        #: serializes IRS table mutation (the IRS memoizes endpoint answers)
         self._lock = threading.Lock()
         self.refresh_interval = fcs.refresh_interval
         self._clock = lambda: fcs.engine.now
@@ -85,10 +85,7 @@ class SiteBackend:
         snap = snapshot if snapshot is not None else self.store.current()
         if snap is None:
             return None
-        # FlatFairshare lazily builds its element matrix on first vector
-        # query; guard it so two server tasks cannot race the memoization
-        with self._lock:
-            return snap.vector(identity)
+        return snap.vector(identity)
 
     # -- identity ------------------------------------------------------------
 

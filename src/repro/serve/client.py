@@ -1,9 +1,9 @@
 """Resilient client transport for aequusd: one protocol, two drivers.
 
-:class:`AequusClient` holds every operation's protocol logic once (HELLO
-negotiation, JSON fallback, leaf-id cache, batch lookup, retry, error
-lifting) as coroutines over a :class:`_Connection`; the drivers differ
-only in how a connection moves bytes.
+:class:`AequusClient` holds every operation's protocol logic once (leaf-id
+cache, batch lookup, retry, error lifting) as coroutines over a
+:class:`_Connection`; the drivers differ only in how a connection moves
+bytes.
 
 * :class:`AequusClient` itself is the **pipelining asyncio driver**: a
   small connection pool, any number of requests in flight per connection
@@ -19,19 +19,18 @@ only in how a connection moves bytes.
   an RMS queue pass, the CLI, the collector.  Threads sharing one instance
   are serialized.
 
-Protocol upgrade: each new connection sends a JSON ``HELLO``; servers
-that advertise ``binary: 2`` get the hot key-addressed ops
-(GET_FAIRSHARE, GET_VECTOR, REPORT_USAGE, LOOKUP_ACCOUNT, batch lookups)
-as struct-packed v2 frames on the same socket — JSON and binary
-interleave freely, so INFO/METRICS/RESOLVE_IDENTITY stay JSON.  Servers
-predating HELLO answer ``UNSUPPORTED_OP`` and the client stays on JSON,
-transparently; a binary server predating LOOKUP_ACCOUNT answers that
-opcode ``UNSUPPORTED_OP`` once per connection, and ``lookup_account``
-then takes the JSON resolve plus a fairshare lookup there.  The
-client caches the integer leaf id a name-addressed binary reply returns
-and switches that user to id-addressed requests; when the server's leaf
-table is recompiled (``EPOCH_CHANGED``), the stale id is dropped and the
-name path re-resolves it.
+One data plane: every data op travels as a struct-packed binary frame —
+GET_FAIRSHARE, GET_VECTOR, REPORT_USAGE, LOOKUP_ACCOUNT (which also
+answers :meth:`AequusClient.resolve_identity`) and BATCH_FAIRSHARE (which
+answers :meth:`AequusClient.batch` and
+:meth:`AequusClient.batch_lookup_fairshare`).  JSON frames carry the admin
+ops (HELLO, INFO, METRICS, TRACE_EXPORT, PING) and the freshness-annotated
+read behind :meth:`AequusClient.lookup_fairshare_detail`; both framings
+share a connection.  A server error status is raised, never fallen back
+from.  The client caches the integer leaf id a name-addressed reply
+returns and switches that user to id-addressed requests; when the
+server's leaf table is recompiled (``EPOCH_CHANGED``), the stale id is
+dropped and the name path re-resolves it.
 
 Retry semantics: a request that failed before its frame was written is
 always safe to retry.  A request whose reply never arrived is ambiguous —
@@ -68,9 +67,9 @@ from ..obs.registry import MetricsRegistry, StatsView
 from ..services.irs import IdentityResolutionError
 from .protocol import (BIN_ACCEPTED, BIN_BATCH_REPLY_HEAD, BIN_FS_REPLY,
                        BIN_VEC_HEAD, BST_EPOCH_CHANGED, BST_OK,
-                       BST_UNKNOWN_USER, BST_UNSUPPORTED_OP, ERR_UNKNOWN_USER,
-                       MAX_FRAME_BYTES, NO_LEAF_ID, PROTOCOL_VERSION,
-                       ProtocolError, bin_batch_fairshare,
+                       BST_UNKNOWN_USER, ERR_EPOCH_CHANGED, ERR_MALFORMED,
+                       ERR_UNSUPPORTED_OP, MAX_FRAME_BYTES, NO_LEAF_ID,
+                       PROTOCOL_VERSION, ProtocolError, bin_batch_fairshare,
                        bin_get_fairshare_by_id, bin_get_fairshare_by_name,
                        bin_get_vector_by_name, bin_lookup_account,
                        bin_report_usage, decode_bin_error, encode_frame,
@@ -122,10 +121,6 @@ class _Connection:
         self.max_frame = max_frame
         self._ids = itertools.count(1)
         self.broken = False
-        #: negotiated per connection via HELLO (see AequusClient._connect)
-        self.binary = False
-        #: the server knows LOOKUP_ACCOUNT (cleared by its UNSUPPORTED_OP)
-        self.by_account = True
 
     async def request(self, payload: Dict[str, Any],
                       timeout: float) -> Dict[str, Any]:
@@ -281,6 +276,9 @@ class AequusClient:
 
     #: bound on the user -> (gen, leaf id) cache
     LEAF_CACHE_SIZE = 1 << 20
+    #: re-mint rounds before a batch gives up on a leaf table that moves
+    #: under every attempt
+    BATCH_REMINTS = 8
 
     def __init__(self, host: str = "127.0.0.1", port: int = 4730,
                  pool_size: int = 2,
@@ -289,7 +287,6 @@ class AequusClient:
                  backoff_base: float = 0.05,
                  backoff_max: float = 1.0,
                  max_frame: int = MAX_FRAME_BYTES,
-                 binary: bool = True,
                  registry: Optional[MetricsRegistry] = None,
                  rng: Optional[random.Random] = None):
         if pool_size < 1:
@@ -302,8 +299,6 @@ class AequusClient:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.max_frame = max_frame
-        #: attempt the v2 upgrade on new connections (HELLO negotiation)
-        self.binary = binary
         self._rng = rng if rng is not None else random.Random()
         self._pool: List[Optional[_Connection]] = [None] * pool_size
         self._pool_locks = [asyncio.Lock() for _ in range(pool_size)]
@@ -323,7 +318,7 @@ class AequusClient:
             key: events.labels(event=key)
             for key in ("requests", "retries", "reconnects",
                         "transport_errors", "ambiguous_retries", "batches",
-                        "binary_upgrades", "epoch_changes")})
+                        "epoch_changes")})
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -360,21 +355,8 @@ class AequusClient:
                     await conn.close()
                     self.stats["reconnects"] += 1
                 conn = await self._open()
-                if self.binary:
-                    await self._negotiate(conn)
                 self._pool[slot] = conn
             return conn
-
-    async def _negotiate(self, conn: _Connection) -> None:
-        """HELLO once per connection; old servers answer UNSUPPORTED_OP."""
-        try:
-            reply = await conn.request({"op": "HELLO"}, self.timeout)
-        except _RequestFailed as exc:
-            await conn.close()
-            raise ConnectionError(f"HELLO failed: {exc.cause!r}") from exc
-        if reply.get("ok") and int(reply.get("binary", 0)) >= 2:
-            conn.binary = True
-            self.stats["binary_upgrades"] += 1
 
     def _backoff(self, attempt: int) -> float:
         """Full jitter: uniform in [0, min(max, base * 2^attempt)]."""
@@ -382,11 +364,10 @@ class AequusClient:
         return self._rng.uniform(0.0, cap)
 
     async def _attempt(self, send: Callable[[_Connection],
-                                            Optional[Awaitable[Any]]]) -> Any:
+                                            Awaitable[Any]]) -> Any:
         """One request, reconnecting and retrying with backoff.
 
-        ``send`` starts the exchange on the connection it is handed, or
-        returns None to decline it (result None, nothing retried).
+        ``send`` starts the exchange on the connection it is handed.
         """
         self.stats["requests"] += 1
         slot = next(self._next_slot) % self.pool_size
@@ -403,11 +384,8 @@ class AequusClient:
                         asyncio.TimeoutError) as exc:
                     last = exc
                     continue
-            exchange = send(conn)
-            if exchange is None:
-                return None
             try:
-                return await exchange
+                return await send(conn)
             except _RequestFailed as exc:
                 if exc.sent:
                     self.stats["ambiguous_retries"] += 1
@@ -426,18 +404,14 @@ class AequusClient:
         return reply
 
     async def _call_bin(self, build: Callable[[int], bytes],
-                        tolerate: Tuple[int, ...] = ()
-                        ) -> Optional[Tuple[int, bytes]]:
+                        tolerate: Tuple[int, ...] = ()) -> Tuple[int, bytes]:
         """Send one binary request: (status, body).
 
-        An error status outside ``tolerate`` is raised.  None when the
-        negotiated connection turned out JSON-only (the caller then falls
-        back to the JSON op).
+        An error status outside ``tolerate`` is raised.
         """
         res = await self._attempt(
-            lambda conn: conn.request_bin(build, self.timeout)
-            if conn.binary else None)
-        if res is not None and res[0] != BST_OK and res[0] not in tolerate:
+            lambda conn: conn.request_bin(build, self.timeout))
+        if res[0] != BST_OK and res[0] not in tolerate:
             err = decode_bin_error(*res)
             raise AequusServerError(err["code"], err["message"])
         return res
@@ -451,38 +425,35 @@ class AequusClient:
 
     # -- single-key API --------------------------------------------------------
 
-    async def _bin_lookup_fairshare(self, user: str
-                                    ) -> Optional[Tuple[float, bool]]:
+    async def _by_name(self, user: str) -> Tuple[float, bool, int, int]:
+        """Name-addressed GET: (value, known, generation, leaf id).
+
+        Caches the leaf id of a known identity; the id is
+        :data:`NO_LEAF_ID` for an unknown one.
+        """
+        _, body = await self._call_bin(
+            lambda rid: bin_get_fairshare_by_name(rid, user))
+        value, known, _seq, gen, leaf_id = BIN_FS_REPLY.unpack(body)
+        if not known:
+            return float(value), False, gen, NO_LEAF_ID
+        self._remember_leaf(user, gen, leaf_id)
+        return float(value), True, gen, leaf_id
+
+    async def lookup_fairshare(self, user: str) -> Tuple[float, bool]:
         cached = self._leaf_ids.get(user)
         if cached is not None:
             gen, leaf_id = cached
-            res = await self._call_bin(
+            status, body = await self._call_bin(
                 lambda rid: bin_get_fairshare_by_id(rid, gen, leaf_id),
                 tolerate=(BST_EPOCH_CHANGED, BST_UNKNOWN_USER))
-            if res is None:
-                return None
-            if res[0] == BST_OK:
-                value, known, _seq, _gen, _leaf = BIN_FS_REPLY.unpack(res[1])
+            if status == BST_OK:
+                value, known, _seq, _gen, _leaf = BIN_FS_REPLY.unpack(body)
                 return float(value), bool(known)
             # the leaf table moved under the cached id: re-resolve by name
             self.stats["epoch_changes"] += 1
             self._leaf_ids.pop(user, None)
-        res = await self._call_bin(
-            lambda rid: bin_get_fairshare_by_name(rid, user))
-        if res is None:
-            return None
-        value, known, _seq, gen, leaf_id = BIN_FS_REPLY.unpack(res[1])
-        if known:
-            self._remember_leaf(user, gen, leaf_id)
-        return float(value), bool(known)
-
-    async def lookup_fairshare(self, user: str) -> Tuple[float, bool]:
-        if self.binary:
-            result = await self._bin_lookup_fairshare(user)
-            if result is not None:
-                return result
-        reply = await self._call({"op": "GET_FAIRSHARE", "user": user})
-        return float(reply["value"]), bool(reply["known"])
+        value, known, _gen, _leaf = await self._by_name(user)
+        return value, known
 
     async def get_fairshare(self, user: str) -> float:
         return (await self.lookup_fairshare(user))[0]
@@ -490,60 +461,17 @@ class AequusClient:
     async def lookup_fairshare_detail(self, user: str) -> Dict[str, Any]:
         """Freshness-annotated lookup: the full reply body, including the
         per-origin ``horizons``/``staleness`` the serving snapshot carries."""
-        return await self._call({"op": "GET_FAIRSHARE", "user": user,
-                                 "horizons": True})
+        return await self._call({"op": "GET_FAIRSHARE", "user": user})
 
     async def get_vector(self, user: str) -> FairshareVector:
-        if self.binary:
-            res = await self._call_bin(
-                lambda rid: bin_get_vector_by_name(rid, user))
-            if res is not None:
-                body = res[1]
-                _seq, resolution, n = BIN_VEC_HEAD.unpack_from(body)
-                elems = struct.unpack_from(">%dd" % n, body,
-                                           BIN_VEC_HEAD.size)
-                return FairshareVector(list(elems), resolution=resolution)
-        reply = await self._call({"op": "GET_VECTOR", "user": user})
-        return FairshareVector(reply["elements"],
-                               resolution=int(reply["resolution"]))
+        _, body = await self._call_bin(
+            lambda rid: bin_get_vector_by_name(rid, user))
+        _seq, resolution, n = BIN_VEC_HEAD.unpack_from(body)
+        elems = struct.unpack_from(">%dd" % n, body, BIN_VEC_HEAD.size)
+        return FairshareVector(list(elems), resolution=resolution)
 
     async def resolve_identity(self, system_user: str) -> str:
-        try:
-            reply = await self._call({"op": "RESOLVE_IDENTITY",
-                                      "user": system_user})
-        except AequusServerError as exc:
-            if exc.code == ERR_UNKNOWN_USER:
-                raise IdentityResolutionError(system_user) from exc
-            raise
-        return str(reply["identity"])
-
-    async def _bin_lookup_account(self, system_user: str
-                                  ) -> Optional[Tuple[str, float, bool]]:
-        async def exchange(conn: _Connection) -> Optional[Tuple[int, bytes]]:
-            res = await conn.request_bin(
-                lambda rid: bin_lookup_account(rid, system_user),
-                self.timeout)
-            if res[0] == BST_UNSUPPORTED_OP:
-                conn.by_account = False  # a binary server predating the op
-                return None
-            return res
-
-        res = await self._attempt(
-            lambda conn: exchange(conn) if conn.binary and conn.by_account
-            else None)
-        if res is None:
-            return None
-        status, body = res
-        if status == BST_UNKNOWN_USER:
-            raise IdentityResolutionError(system_user)
-        if status != BST_OK:
-            err = decode_bin_error(status, body)
-            raise AequusServerError(err["code"], err["message"])
-        value, known, _seq, gen, leaf_id = BIN_FS_REPLY.unpack_from(body)
-        identity = body[BIN_FS_REPLY.size:].decode("utf-8")
-        if known:
-            self._remember_leaf(identity, gen, leaf_id)
-        return identity, float(value), bool(known)
+        return (await self.lookup_account(system_user))[0]
 
     async def lookup_account(self, system_user: str
                              ) -> Tuple[str, float, bool]:
@@ -551,30 +479,26 @@ class AequusClient:
 
         The scheduler's whole question about a job's owner: the server
         resolves the account and serves the identity's fairshare from one
-        snapshot.  Connections without the binary op take
-        :meth:`resolve_identity` + :meth:`lookup_fairshare` instead, with
-        the same answer; an unresolvable account raises
-        :class:`~repro.services.irs.IdentityResolutionError` either way.
+        snapshot.  An unresolvable account raises
+        :class:`~repro.services.irs.IdentityResolutionError`.
         """
-        if self.binary:
-            result = await self._bin_lookup_account(system_user)
-            if result is not None:
-                return result
-        identity = await self.resolve_identity(system_user)
-        value, known = await self.lookup_fairshare(identity)
-        return identity, value, known
+        status, body = await self._call_bin(
+            lambda rid: bin_lookup_account(rid, system_user),
+            tolerate=(BST_UNKNOWN_USER,))
+        if status == BST_UNKNOWN_USER:
+            raise IdentityResolutionError(system_user)
+        value, known, _seq, gen, leaf_id = BIN_FS_REPLY.unpack_from(body)
+        identity = body[BIN_FS_REPLY.size:].decode("utf-8")
+        if known:
+            self._remember_leaf(identity, gen, leaf_id)
+        return identity, float(value), bool(known)
 
     async def report_usage(self, user: str, start: float, end: float,
                            cores: int = 1) -> bool:
-        if self.binary:
-            res = await self._call_bin(
-                lambda rid: bin_report_usage(rid, user, float(start),
-                                             float(end), int(cores)))
-            if res is not None:
-                return bool(BIN_ACCEPTED.unpack(res[1])[0])
-        reply = await self._call({"op": "REPORT_USAGE", "user": user,
-                                  "start": start, "end": end, "cores": cores})
-        return bool(reply["accepted"])
+        _, body = await self._call_bin(
+            lambda rid: bin_report_usage(rid, user, float(start),
+                                         float(end), int(cores)))
+        return bool(BIN_ACCEPTED.unpack(body)[0])
 
     async def ping(self, payload: Any = None) -> Dict[str, Any]:
         request: Dict[str, Any] = {"op": "PING"}
@@ -583,7 +507,7 @@ class AequusClient:
         return await self._call(request)
 
     async def hello(self) -> Dict[str, Any]:
-        """Capability discovery (sent automatically on connect)."""
+        """Protocol versions and server identity."""
         return await self._call({"op": "HELLO"})
 
     async def info(self) -> Dict[str, Any]:
@@ -605,84 +529,92 @@ class AequusClient:
 
     # -- batch API -------------------------------------------------------------
 
-    async def batch(self, requests: Sequence[Dict[str, Any]]
-                    ) -> List[Dict[str, Any]]:
-        """Execute sub-requests as one atomic batch; returns reply bodies.
+    async def _batch_values(self, users: List[str]
+                            ) -> Tuple[int, List[Tuple[float, bool]]]:
+        """(seq, [(value, known)]) for ``users`` from ONE batch reply.
 
-        Unlike the single-key API, per-item errors are returned in place
-        (an item body with ``ok: false``), not raised — one bad key must
-        not poison its batch.
+        Users without a cached leaf id are resolved by name first; an
+        identity with no leaf rides along as NO_LEAF_ID and comes back
+        unknown.  When the leaf table moves under the ids (EPOCH_CHANGED,
+        or ids minted under two generations) they are dropped and
+        re-minted by name.
         """
-        self.stats["batches"] += 1
-        reply = await self._call({"op": "BATCH", "requests": list(requests)})
-        return reply["replies"]
-
-    async def _bin_batch_lookup(self, users: List[str]
-                                ) -> Optional[Dict[str, Tuple[float, bool]]]:
-        out: Dict[str, Tuple[float, bool]] = {}
-        # resolve (and cache) ids for users we have not seen; a user whose
-        # id cannot stabilize (unknown, no row) is answered inline
-        gens = set()
-        for user in users:
-            cached = self._leaf_ids.get(user)
-            if cached is None:
-                single = await self._bin_lookup_fairshare(user)
-                if single is None:
-                    return None  # connection degraded to JSON mid-way
+        for _ in range(self.BATCH_REMINTS):
+            ids = []
+            gens = set()
+            for user in users:
                 cached = self._leaf_ids.get(user)
                 if cached is None:
-                    out[user] = single
-                    continue
-            gens.add(cached[0])
-        todo = [u for u in users if u not in out]
-        if not todo:
-            return out
-        if len(gens) == 1:
-            gen = gens.pop()
-            ids = [self._leaf_ids[u][1] for u in todo]
-            res = await self._call_bin(
-                lambda rid: bin_batch_fairshare(rid, gen, ids),
-                tolerate=(BST_EPOCH_CHANGED,))
-            if res is None:
-                return None
-            status, body = res
-            if status == BST_OK:
-                _seq, _gen, count = BIN_BATCH_REPLY_HEAD.unpack_from(body)
-                values = struct.unpack_from(">%dd" % count, body,
-                                            BIN_BATCH_REPLY_HEAD.size)
-                flags_at = BIN_BATCH_REPLY_HEAD.size + 8 * count
-                knowns = body[flags_at:flags_at + count]
-                for user, value, known in zip(todo, values, knowns):
-                    out[user] = (float(value), bool(known))
-                return out
-        # the ids span a recompile, or the table moved under them: drop
-        # them and let the name path re-mint each
-        self.stats["epoch_changes"] += 1
-        for user in todo:
-            self._leaf_ids.pop(user, None)
-        for user in todo:
-            single = await self._bin_lookup_fairshare(user)
-            if single is None:
-                return None
-            out[user] = single
-        return out
+                    _value, _known, gen, leaf_id = await self._by_name(user)
+                    cached = (gen, leaf_id)
+                ids.append(cached[1])
+                # an unknown identity's id names no row: its generation
+                # counts only while no known id has named one
+                if cached[1] != NO_LEAF_ID or not gens:
+                    gens.add(cached[0])
+            if len(gens) == 1:
+                gen = gens.pop()
+                status, body = await self._call_bin(
+                    lambda rid: bin_batch_fairshare(rid, gen, ids),
+                    tolerate=(BST_EPOCH_CHANGED,))
+                if status == BST_OK:
+                    seq, _gen, count = BIN_BATCH_REPLY_HEAD.unpack_from(body)
+                    values = struct.unpack_from(">%dd" % count, body,
+                                                BIN_BATCH_REPLY_HEAD.size)
+                    flags_at = BIN_BATCH_REPLY_HEAD.size + 8 * count
+                    knowns = body[flags_at:flags_at + count]
+                    return seq, [(float(value), bool(known))
+                                 for value, known in zip(values, knowns)]
+            self.stats["epoch_changes"] += 1
+            for user in users:
+                self._leaf_ids.pop(user, None)
+        raise AequusServerError(ERR_EPOCH_CHANGED,
+                                "the leaf table kept moving under the batch")
+
+    async def batch(self, requests: Sequence[Dict[str, Any]]
+                    ) -> List[Dict[str, Any]]:
+        """Answer ``GET_FAIRSHARE`` items from ONE snapshot; reply bodies.
+
+        Every ``GET_FAIRSHARE`` item's body carries ``ok``, ``value``,
+        ``known`` and the ``seq`` of the one snapshot they all came from.
+        Any other op is answered in place with ``UNSUPPORTED_OP`` — per-
+        item errors are returned, not raised: one bad item must not
+        poison its batch.
+        """
+        self.stats["batches"] += 1
+        replies: List[Dict[str, Any]] = []
+        gets: List[int] = []
+        for i, item in enumerate(requests):
+            op = item.get("op") if isinstance(item, dict) else None
+            user = item.get("user") if op == "GET_FAIRSHARE" else None
+            if isinstance(user, str) and user:
+                gets.append(i)
+                replies.append({})
+            elif op == "GET_FAIRSHARE":
+                replies.append({"ok": False, "error": {
+                    "code": ERR_MALFORMED,
+                    "message": "GET_FAIRSHARE needs a 'user' string"}})
+            else:
+                replies.append({"ok": False, "error": {
+                    "code": ERR_UNSUPPORTED_OP,
+                    "message": f"{op!r} is not a batch item"}})
+        if gets:
+            seq, answers = await self._batch_values(
+                [requests[i]["user"] for i in gets])
+            for i, (value, known) in zip(gets, answers):
+                replies[i] = {"ok": True, "value": value, "known": known,
+                              "seq": seq}
+        return replies
 
     async def batch_lookup_fairshare(self, users: Iterable[str]
                                      ) -> Dict[str, Tuple[float, bool]]:
         """One round trip, one snapshot: users -> (value, known)."""
         users = list(users)
-        if self.binary and users:
-            self.stats["batches"] += 1
-            out = await self._bin_batch_lookup(users)
-            if out is not None:
-                return out
-        replies = await self.batch(
-            [{"op": "GET_FAIRSHARE", "user": u} for u in users])
-        out = {}
-        for user, body in zip(users, replies):
-            if body.get("ok"):
-                out[user] = (float(body["value"]), bool(body["known"]))
-        return out
+        if not users:
+            return {}
+        self.stats["batches"] += 1
+        _seq, answers = await self._batch_values(users)
+        return dict(zip(users, answers))
 
 
 class _BlockingClient(AequusClient):
@@ -690,7 +622,7 @@ class _BlockingClient(AequusClient):
 
     async def _open(self) -> _Connection:
         sock = socket.create_connection((self.host, self.port), self.timeout)
-        # request/reply ping-pong: never wait to coalesce a lone frame
+        # request/reply ping-pong: never let Nagle hold back a lone frame
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return _BlockingConnection(sock, self.max_frame)
 

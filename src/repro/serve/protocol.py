@@ -1,29 +1,59 @@
-"""aequusd wire protocol: JSON frames (v1) and compact binary frames (v2).
+"""aequusd wire protocol: compact binary frames (v2) and JSON frames (v1).
 
+Every data op is binary; JSON carries the admin ops and one annotated
+read.  Both framings share one connection and one correlation-id space.
+
+Binary protocol (v2)
+--------------------
+A binary frame is a 12-byte header followed by ``body_len`` body bytes::
+
+    request:  magic 0xA3 | opcode u8 | flags u16 | rid u32 | body_len u32
+    reply:    magic 0xA4 | status u8 | flags u16 | rid u32 | body_len u32
+
+``GET_FAIRSHARE`` (1)  identity -> ``BIN_FS_REPLY``: value, known, snapshot
+                       seq, leaf-table generation, leaf id.
+``GET_VECTOR`` (2)     identity -> seq, resolution, the elements.
+``REPORT_USAGE`` (3)   start, end, cores, user -> accepted.
+``BATCH_FAIRSHARE`` (4)
+                       generation + leaf ids -> seq, generation, one value
+                       and one known flag per id, all from ONE snapshot (no
+                       torn batches).  An id the table does not hold
+                       (:data:`NO_LEAF_ID`) answers the unknown-user value.
+``PING`` (5)           echoes the body.
+``LOOKUP_ACCOUNT`` (6) a scheduler's whole per-owner question in one
+                       frame: a UTF-8 *system user*, resolved through the
+                       backend's identity resolution (the live IRS, or the
+                       IRS table published to shared memory) on every
+                       request, answered with the ``BIN_FS_REPLY`` of the
+                       resolved identity followed by its UTF-8 bytes.  An
+                       account that does not resolve answers
+                       ``UNKNOWN_USER``.
+
+Key-addressed binary requests carry either a UTF-8 identity (flags bit 0
+clear) or an integer *leaf id* plus the leaf-table generation it belongs
+to (flags bit 0 set).  Leaf ids are row numbers into the snapshot's leaf
+array — the server returns them on name lookups so clients cache the
+mapping and skip string resolution entirely; a generation mismatch (the
+policy was recompiled) answers ``EPOCH_CHANGED`` and the client
+re-resolves by name.
+
+JSON (v1)
+---------
 A JSON frame is a 4-byte big-endian payload length followed by that many
-bytes of UTF-8 JSON.  Both directions use the same framing; the JSON
-payload is always a single object.
+bytes of UTF-8 JSON, a single object.  Because a JSON frame's first byte
+is the high byte of its length prefix — always zero below a 16 MiB cap —
+the two framings are told apart on the first byte.
 
 Requests carry ``{"v": <protocol version>, "id": <correlation id>,
 "op": "<OP>", ...operands}``.  Replies echo ``id`` and carry either
 ``"ok": true`` plus result fields, or ``"ok": false`` plus a structured
-``"error": {"code": "<CODE>", "message": "<human text>"}``.  Correlation
-ids let a pipelining client match replies to requests without assuming
-ordering (the server does reply in order, but the contract is the id).
+``"error": {"code": "<CODE>", "message": "<human text>"}``.
 
-Operations
-----------
 ``GET_FAIRSHARE``     ``user`` -> ``value`` (projected scalar), ``known``,
-                      ``seq``/``epoch`` of the serving snapshot.  With
-                      ``"horizons": true`` the reply adds ``horizons``
-                      (per-origin usage watermark the snapshot
-                      incorporates) and ``staleness`` (its age now).
-``GET_VECTOR``        ``user`` -> ``elements`` + ``resolution``.
-``RESOLVE_IDENTITY``  ``user`` (system user) -> ``identity``.
-``REPORT_USAGE``      ``user``/``start``/``end``/``cores`` -> ``accepted``.
-``BATCH``             ``requests``: list of request objects (no nesting);
-                      reply carries ``replies`` in the same order, all
-                      served from ONE snapshot (no torn batches).
+                      ``seq``/``epoch`` of the serving snapshot,
+                      ``horizons`` (per-origin usage watermark the snapshot
+                      incorporates) and ``staleness`` (their age now).
+``HELLO``             protocol versions (``binary: 2``) and server identity.
 ``PING``              liveness probe; echoes ``payload`` if present.
 ``INFO``              server, snapshot, and statistics summary.
 ``METRICS``           Prometheus text exposition of every registry wired
@@ -35,47 +65,10 @@ Operations
                       ``virtual_epoch``, ``time_factor``, ``dropped``)
                       so a fleet collector can align per-process clocks.
 
-The frame length prefix is validated against a configurable cap before the
-payload is read, so an adversarial or broken peer cannot make the server
-buffer an arbitrarily large frame.
-
-Binary protocol (v2)
---------------------
-The hot read path pays for JSON twice per request: serialize on one side,
-parse on the other.  Protocol v2 replaces both with fixed ``struct`` packs.
-A binary frame is a 12-byte header followed by ``body_len`` body bytes::
-
-    request:  magic 0xA3 | opcode u8 | flags u16 | rid u32 | body_len u32
-    reply:    magic 0xA4 | status u8 | flags u16 | rid u32 | body_len u32
-
-Because a JSON frame's first byte is the high byte of its length prefix —
-always zero below a 16 MiB cap — the two framings are distinguishable on
-the first byte, and one connection can interleave them freely: binary for
-the hot key-addressed ops, JSON for everything else (INFO, METRICS, ...).
-A client discovers binary support with the JSON ``HELLO`` op (old servers
-answer ``UNSUPPORTED_OP``, new ones advertise ``binary: 2``) and upgrades
-only after a positive answer, so existing JSON clients and servers
-interoperate unmodified.
-
-Key-addressed binary requests carry either a UTF-8 identity (flags bit 0
-clear) or an integer *leaf id* plus the leaf-table generation it belongs
-to (flags bit 0 set).  Leaf ids are row numbers into the snapshot's leaf
-array — the server returns them on name lookups so clients cache the
-mapping and skip string resolution entirely; a generation mismatch (the
-policy was recompiled) answers ``EPOCH_CHANGED`` and the client
-re-resolves by name.
-
-``LOOKUP_ACCOUNT`` (opcode 6) is a scheduler's whole per-owner question
-in one frame: the body is a UTF-8 *system user*; the server resolves it
-through its backend's identity resolution (the live IRS, or the IRS
-table published to shared memory), never memoising the answer, and
-replies with the 24-byte ``BIN_FS_REPLY`` of the resolved identity
-followed by the identity's UTF-8 bytes.  An account that does not
-resolve answers ``UNKNOWN_USER``.  ``HELLO`` still advertises
-``binary: 2``: a binary server that predates the opcode answers it
-``UNSUPPORTED_OP``, and the client then falls back to JSON
-``RESOLVE_IDENTITY`` plus a fairshare lookup for the rest of that
-connection — as it does on JSON-only connections.
+Any other JSON op answers ``UNSUPPORTED_OP``.  Every frame's declared
+length is validated against a configurable cap before its body is read,
+so an adversarial or broken peer cannot make the server buffer an
+arbitrarily large frame.
 """
 
 from __future__ import annotations
@@ -135,7 +128,7 @@ __all__ = [
 #: bump on any incompatible frame or payload change
 PROTOCOL_VERSION = 1
 
-#: the struct-packed wire format (negotiated via the JSON ``HELLO`` op)
+#: the struct-packed wire format (advertised by the JSON ``HELLO`` op)
 BIN_PROTOCOL_VERSION = 2
 
 #: default cap on a single frame's payload size (1 MiB)
@@ -144,9 +137,9 @@ MAX_FRAME_BYTES = 1 << 20
 #: 4-byte big-endian unsigned payload length
 HEADER = struct.Struct(">I")
 
-OPS = frozenset({"GET_FAIRSHARE", "GET_VECTOR", "RESOLVE_IDENTITY",
-                 "REPORT_USAGE", "BATCH", "PING", "INFO", "METRICS",
-                 "HELLO", "TRACE_EXPORT"})
+#: the JSON ops: admin plus the annotated fairshare read
+OPS = frozenset({"HELLO", "INFO", "METRICS", "TRACE_EXPORT", "PING",
+                 "GET_FAIRSHARE"})
 
 # -- binary framing -----------------------------------------------------------
 

@@ -17,21 +17,19 @@ send side too — server memory per connection stays capped at roughly the
 output buffer plus the socket buffers, no matter how fast the client
 writes.
 
-Request coalescing
-------------------
-Pipelined and batched JSON workloads repeat keys (many jobs per user
-submitted together).  Identical single-key reads against the *same
-snapshot* produce identical reply bodies, so the server memoizes bodies
-keyed by ``(op, user, snapshot seq)`` in a small bounded map and only
-recomputes on a snapshot change.  Coalesced hits are counted in the
-stats.  Identity resolution is never coalesced: the IRS is not versioned
-by the snapshot seq, so a mapping stored between two publishes must be
-answered at once.  The binary protocol needs no server-side coalescing:
-clients cache integer leaf ids, which makes every repeat lookup two
-array reads.
+Two planes, one op each
+-----------------------
+Every data op — GET_FAIRSHARE, GET_VECTOR, BATCH, REPORT_USAGE,
+LOOKUP_ACCOUNT — is binary.  JSON carries the admin ops (HELLO, INFO,
+METRICS, TRACE_EXPORT, PING) and one read: the freshness-annotated
+GET_FAIRSHARE behind ``lookup_fairshare_detail``.  Nothing is memoised:
+a read is two array lookups in the snapshot it names, and an identity is
+resolved through the IRS on every request (the IRS is not versioned by
+the snapshot, so a mapping stored between two publishes is answered at
+once).
 
-Batches resolve the current snapshot ONCE and serve every sub-request
-from it, so a batch can never straddle an FCS refresh (no torn batches).
+Batches resolve the current snapshot ONCE and serve every item from it,
+so a batch can never straddle an FCS refresh (no torn batches).
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import struct
 import threading
 import time
 from bisect import bisect_left
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -61,13 +58,12 @@ from .protocol import (BF_BY_ID, BIN_ACCEPTED, BIN_BATCH_HEAD,
                        BOP_REPORT_USAGE, BST_BAD_BATCH, BST_EPOCH_CHANGED,
                        BST_INTERNAL, BST_MALFORMED, BST_NOT_A_LEAF, BST_OK,
                        BST_OVERSIZED, BST_UNKNOWN_USER,
-                       BST_UNSUPPORTED_OP, ERR_BAD_BATCH, ERR_BAD_VERSION,
+                       BST_UNSUPPORTED_OP, ERR_BAD_VERSION,
                        ERR_INTERNAL, ERR_MALFORMED, ERR_NOT_A_LEAF,
-                       ERR_OVERSIZED, ERR_UNKNOWN_USER, ERR_UNSUPPORTED_OP,
+                       ERR_OVERSIZED, ERR_UNSUPPORTED_OP,
                        HEADER, MAX_FRAME_BYTES, NO_LEAF_ID, OPS,
                        PROTOCOL_VERSION, MalformedFrame, bin_error,
-                       decode_payload, encode_frame, error_reply, ok_reply)
-from .snapshot import FairshareSnapshot
+                       decode_payload, encode_frame, error_reply)
 
 __all__ = ["AequusServer", "ServerThread"]
 
@@ -85,17 +81,15 @@ _READ_CHUNK = 256 * 1024
 
 
 class AequusServer:
-    """Dual-protocol (JSON v1 + binary v2) TCP front end for a backend."""
+    """TCP front end for a backend: binary (v2) data ops, JSON (v1) admin."""
 
     def __init__(self, backend: SiteBackend,
                  host: str = "127.0.0.1", port: int = 0,
                  max_frame: int = MAX_FRAME_BYTES,
                  max_inflight: int = 128,
                  max_batch: int = 4096,
-                 coalesce_size: int = 4096,
                  write_buffer_limit: int = 256 * 1024,
                  registry: Optional[MetricsRegistry] = None,
-                 binary: bool = True,
                  identity: Optional[Dict[str, Any]] = None,
                  stats_aggregator: Optional[Callable[[], Dict[str, int]]]
                  = None,
@@ -109,9 +103,6 @@ class AequusServer:
         self.max_inflight = max_inflight
         self.max_batch = max_batch
         self.write_buffer_limit = write_buffer_limit
-        #: serve the struct-packed v2 protocol (negotiated via HELLO); off,
-        #: the server behaves exactly like a JSON-only v1 daemon
-        self.binary = binary
         #: worker identity advertised in HELLO and INFO (pid is implied)
         self.identity = dict(identity or {})
         #: cross-worker stats for INFO (a sharded worker aggregates its
@@ -128,9 +119,6 @@ class AequusServer:
         self.trace_export = trace_export
         self._sock = sock
         self._server: Optional[asyncio.AbstractServer] = None
-        #: (op, user, snapshot seq) -> reply body, LRU-bounded
-        self._coalesce: "OrderedDict[tuple, Dict[str, Any]]" = OrderedDict()
-        self._coalesce_size = coalesce_size
         #: server-side registry (wall-clock); pass the site's shared one to
         #: fold request metrics into the same METRICS scrape
         self.registry = registry if registry is not None else MetricsRegistry(
@@ -156,10 +144,6 @@ class AequusServer:
             "batch_items": self.registry.counter(
                 "aequus_batch_items_total",
                 "Sub-requests carried inside batches").labels(),
-            "coalesced": self.registry.counter(
-                "aequus_coalesced_total",
-                "Key-addressed reads served from the per-snapshot "
-                "coalescing map").labels(),
             "errors": self.registry.counter(
                 "aequus_errors_total",
                 "Requests answered with an error reply").labels(),
@@ -221,7 +205,6 @@ class AequusServer:
         writer.transport.set_write_buffer_limits(high=self.write_buffer_limit)
         buf = bytearray()
         out = bytearray()
-        binary = self.binary
         max_frame = self.max_frame
         unpack_bin = BIN_HEADER.unpack_from
         unpack_len = HEADER.unpack_from
@@ -239,7 +222,7 @@ class AequusServer:
             end = len(buf)
             while pos < end:
                 first = buf[pos]
-                if binary and first == BIN_REQ_MAGIC:
+                if first == BIN_REQ_MAGIC:
                     if end - pos < BIN_HEADER.size:
                         break
                     _, opcode, flags, rid, body_len = unpack_bin(buf, pos)
@@ -599,24 +582,17 @@ class AequusServer:
         if op not in OPS:
             self.stats["errors"] += 1
             return error_reply(rid, ERR_UNSUPPORTED_OP, f"unknown op {op!r}")
-        if op != "HELLO":
-            # HELLO is connection negotiation, not a serving request — it
-            # would skew request counters by one per pooled connection
-            self._metrics["requests"].inc()
+        self._metrics["requests"].inc()
         # a METRICS scrape is never timed: observing its own latency would
         # mutate the histogram after rendering, breaking the guarantee that
         # the reply matches a direct render of the same registries
         timed = self.registry.enabled and op != "METRICS"
         t0 = time.perf_counter() if timed else 0.0
         try:
-            if op == "BATCH":
-                reply = self._execute_batch(rid, request)
-            else:
-                body = self._execute_single(op, request,
-                                            self.backend.snapshot())
-                if not body.get("ok", False):
-                    self.stats["errors"] += 1
-                reply = dict(body, id=rid)
+            body = self._execute_single(op, request)
+            if not body.get("ok", False):
+                self.stats["errors"] += 1
+            reply = dict(body, id=rid)
         except Exception as exc:  # defensive: a bug must not kill the loop
             self.stats["errors"] += 1
             reply = error_reply(rid, ERR_INTERNAL,
@@ -633,67 +609,26 @@ class AequusServer:
             hist.count += 1
         return reply
 
-    def _execute_batch(self, rid: Optional[int],
-                       request: Dict[str, Any]) -> Dict[str, Any]:
-        subs = request.get("requests")
-        if not isinstance(subs, list):
-            return error_reply(rid, ERR_BAD_BATCH,
-                               "BATCH needs a 'requests' list")
-        if len(subs) > self.max_batch:
-            return error_reply(rid, ERR_BAD_BATCH,
-                               f"batch of {len(subs)} exceeds cap "
-                               f"{self.max_batch}")
-        # one snapshot for the whole batch: items can never straddle a refresh
-        snapshot = self.backend.snapshot()
-        self.stats["batches"] += 1
-        self.stats["batch_items"] += len(subs)
-        replies = []
-        for sub in subs:
-            if not isinstance(sub, dict):
-                replies.append(error_reply(None, ERR_BAD_BATCH,
-                                           "batch item is not an object"))
-                continue
-            sub_op = sub.get("op")
-            if sub_op == "BATCH":
-                replies.append(error_reply(sub.get("id"), ERR_BAD_BATCH,
-                                           "batches do not nest"))
-                continue
-            if sub_op not in OPS:
-                replies.append(error_reply(sub.get("id"), ERR_UNSUPPORTED_OP,
-                                           f"unknown op {sub_op!r}"))
-                continue
-            body = self._execute_single(sub_op, sub, snapshot)
-            # only copy when the item carried an id: batch items usually
-            # correlate by position, and coalesced bodies serialize as-is
-            sub_id = sub.get("id")
-            replies.append(dict(body, id=sub_id) if sub_id is not None
-                           else body)
-        return ok_reply(rid, replies=replies)
-
     def _server_identity(self) -> Dict[str, Any]:
         ident: Dict[str, Any] = {
             "pid": os.getpid(),
             "protocol": PROTOCOL_VERSION,
-            "binary": BIN_PROTOCOL_VERSION if self.binary else 0,
+            "binary": BIN_PROTOCOL_VERSION,
         }
         ident.update(self.identity)
         return ident
 
-    def _execute_single(self, op: str, request: Dict[str, Any],
-                        snapshot: Optional[FairshareSnapshot]
+    def _execute_single(self, op: str, request: Dict[str, Any]
                         ) -> Dict[str, Any]:
-        """Reply *body* (no id) for one non-batch op."""
+        """Reply *body* (no id) for one JSON op."""
         if op == "PING":
             body: Dict[str, Any] = {"ok": True, "pong": True}
             if "payload" in request:
                 body["payload"] = request["payload"]
             return body
         if op == "HELLO":
-            # capability discovery: a binary-capable client upgrades only
-            # after this answers with a non-zero "binary" (servers predating
-            # the op answer UNSUPPORTED_OP, which clients treat as JSON-only)
             return {"ok": True, "protocol": PROTOCOL_VERSION,
-                    "binary": BIN_PROTOCOL_VERSION if self.binary else 0,
+                    "binary": BIN_PROTOCOL_VERSION,
                     "server": self._server_identity()}
         if op == "INFO":
             stats = self.stats_aggregator() if self.stats_aggregator \
@@ -722,91 +657,21 @@ class AequusServer:
             body.setdefault("pid", os.getpid())
             body.setdefault("site", self.backend.site)
             return body
-        if op == "REPORT_USAGE":
-            return self._report_usage(request)
-        # key-addressed reads: coalesce identical keys per snapshot
+        # GET_FAIRSHARE: the freshness-annotated detail read
         user = request.get("user")
         if not isinstance(user, str) or not user:
             return {"ok": False,
                     "error": {"code": ERR_MALFORMED,
                               "message": f"{op} needs a 'user' string"}}
-        if op == "GET_FAIRSHARE" and request.get("horizons"):
-            # freshness-annotated reads bypass the coalescing map: its key
-            # is (op, user, seq), which cannot distinguish the flag, and
-            # the staleness values depend on "now", not on the snapshot
-            return self._get_fairshare(user, snapshot, with_horizons=True)
-        if op == "RESOLVE_IDENTITY":
-            # the IRS is not versioned by the snapshot seq: a memoised
-            # answer would outlive a mapping stored or replaced after it
-            return self._resolve_identity(user)
-        seq = snapshot.seq if snapshot is not None else -1
-        key = (op, user, seq)
-        cached = self._coalesce.get(key)
-        if cached is not None:
-            self.stats["coalesced"] += 1
-            return cached
-        if op == "GET_FAIRSHARE":
-            body = self._get_fairshare(user, snapshot)
-        else:  # GET_VECTOR
-            body = self._get_vector(user, snapshot)
-        if len(self._coalesce) >= self._coalesce_size:
-            self._coalesce.popitem(last=False)
-        self._coalesce[key] = body
-        return body
-
-    # -- op implementations ----------------------------------------------------
-
-    def _get_fairshare(self, user: str,
-                       snapshot: Optional[FairshareSnapshot],
-                       with_horizons: bool = False) -> Dict[str, Any]:
-        value, known, snap = self.backend.lookup_fairshare(user, snapshot)
-        body: Dict[str, Any] = {"ok": True, "value": value, "known": known}
+        value, known, snap = self.backend.lookup_fairshare(user)
+        body = {"ok": True, "value": value, "known": known}
         if snap is not None:
             body["seq"] = snap.seq
             body["epoch"] = list(snap.epoch) if isinstance(snap.epoch, tuple) \
                 else snap.epoch
-            if with_horizons:
-                body["horizons"] = dict(snap.horizons)
-                body["staleness"] = snap.staleness(self.backend.now())
+            body["horizons"] = dict(snap.horizons)
+            body["staleness"] = snap.staleness(self.backend.now())
         return body
-
-    def _get_vector(self, user: str,
-                    snapshot: Optional[FairshareSnapshot]) -> Dict[str, Any]:
-        vector = self.backend.vector(user, snapshot)
-        if vector is None:
-            code = ERR_UNKNOWN_USER
-            if snapshot is not None:
-                code = snapshot.vector_error_code(user)
-            return {"ok": False,
-                    "error": {"code": code,
-                              "message": f"no vector for {user!r}"}}
-        return {"ok": True, "elements": list(vector.elements),
-                "resolution": vector.resolution,
-                "seq": snapshot.seq if snapshot is not None else -1}
-
-    def _resolve_identity(self, user: str) -> Dict[str, Any]:
-        identity = self.backend.resolve_identity(user)
-        if identity is None:
-            return {"ok": False,
-                    "error": {"code": ERR_UNKNOWN_USER,
-                              "message": f"cannot resolve {user!r}"}}
-        return {"ok": True, "identity": identity}
-
-    def _report_usage(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        user = request.get("user")
-        start = request.get("start")
-        end = request.get("end")
-        cores = request.get("cores", 1)
-        if not isinstance(user, str) or not user \
-                or not isinstance(start, (int, float)) \
-                or not isinstance(end, (int, float)) \
-                or not isinstance(cores, int) or cores < 1 or end < start:
-            return {"ok": False,
-                    "error": {"code": ERR_MALFORMED,
-                              "message": "REPORT_USAGE needs user/start/end"
-                                         " (end >= start, cores >= 1)"}}
-        accepted = self.backend.report_usage(user, start, end, cores)
-        return {"ok": True, "accepted": accepted}
 
 
 class ServerThread:

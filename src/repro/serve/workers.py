@@ -5,7 +5,7 @@ every refresh into shared memory via
 :class:`~repro.serve.shm.ShmSnapshotWriter`.  :class:`WorkerPool` forks N
 worker processes; each one attaches the segment read-only
 (:class:`~repro.serve.shm.ShmSnapshotReader` / ``ShmBackend``) and runs a
-full dual-protocol :class:`~repro.serve.server.AequusServer` on its *own*
+full :class:`~repro.serve.server.AequusServer` on its *own*
 ``SO_REUSEPORT`` listening socket, so the kernel load-balances accepted
 connections across workers and no worker ever touches the parent heap on
 the query path.
@@ -55,13 +55,13 @@ STATS_SLOTS = 16
 ROW_BYTES = STATS_SLOTS * 8
 _ROW = struct.Struct("=%dQ" % STATS_SLOTS)
 
-# row slot indices (stable: `aequus-repro probe` and tests read these)
+# row slot indices (stable: `aequus-repro probe` and tests read these;
+# slot 5 is unused)
 S_PID = 0
 S_HEARTBEAT = 1
 S_REQUESTS = 2
 S_BINARY_REQUESTS = 3
 S_ERRORS = 4
-S_COALESCED = 5
 S_BATCHES = 6
 S_BATCH_ITEMS = 7
 S_CONNECTIONS = 8
@@ -74,7 +74,6 @@ _AGG_KEYS = (
     ("requests", S_REQUESTS),
     ("binary_requests", S_BINARY_REQUESTS),
     ("errors", S_ERRORS),
-    ("coalesced", S_COALESCED),
     ("batches", S_BATCHES),
     ("batch_items", S_BATCH_ITEMS),
     ("connections", S_CONNECTIONS),
@@ -189,7 +188,6 @@ def _server_row(server: AequusServer) -> Dict[int, int]:
         S_REQUESTS: stats["requests"],
         S_BINARY_REQUESTS: stats["binary_requests"],
         S_ERRORS: stats["errors"],
-        S_COALESCED: stats["coalesced"],
         S_BATCHES: stats["batches"],
         S_BATCH_ITEMS: stats["batch_items"],
         S_CONNECTIONS: stats["connections"],
@@ -222,7 +220,7 @@ async def _worker_serve(server: AequusServer, stats: WorkerStatsBlock,
 def _worker_main(worker_id: int, n_workers: int, shm_name: str,
                  stats_name: str, socks: List[socket.socket],
                  usage_wfd: int, site: str, refresh_interval: float,
-                 binary: bool, heartbeat: float,
+                 heartbeat: float,
                  trace_spool: Optional[str],
                  trace_meta: Optional[Dict[str, Any]],
                  server_kwargs: Dict[str, Any]) -> None:
@@ -277,7 +275,7 @@ def _worker_main(worker_id: int, n_workers: int, shm_name: str,
         return stats.aggregate()
 
     server = AequusServer(
-        backend, sock=socks[worker_id], binary=binary,
+        backend, sock=socks[worker_id],
         identity={"worker": worker_id, "workers": n_workers, "mode": "shm"},
         stats_aggregator=aggregator,
         extra_metrics=stats.render_metrics,
@@ -300,7 +298,6 @@ class WorkerPool:
                  usage_sink: Optional[Callable[[str, float, float, int],
                                                Any]] = None,
                  registry=None,
-                 binary: bool = True,
                  refresh_interval: float = 30.0,
                  heartbeat: float = 0.25,
                  trace_spool: Optional[str] = None,
@@ -314,7 +311,6 @@ class WorkerPool:
         self.port = port
         self.site = site
         self.usage_sink = usage_sink
-        self.binary = binary
         self.refresh_interval = refresh_interval
         self.heartbeat = heartbeat
         self.trace_spool = trace_spool
@@ -382,9 +378,8 @@ class WorkerPool:
             target=_worker_main,
             args=(worker_id, self.n_workers, self.shm_name,
                   self._stats.name, self._socks, self._usage_wfd,
-                  self.site, self.refresh_interval, self.binary,
-                  self.heartbeat, self.trace_spool, self.trace_meta,
-                  self.server_kwargs),
+                  self.site, self.refresh_interval, self.heartbeat,
+                  self.trace_spool, self.trace_meta, self.server_kwargs),
             name=f"aequus-worker-{worker_id}", daemon=True)
         proc.start()
         return proc

@@ -1,10 +1,11 @@
 """Fairshare Calculation Service (FCS).
 
-Fetches usage trees from the UMS and policy trees from the PDS periodically
-and *pre-calculates* fairshare trees with the current fairshare values for
-all users (paper Section II-A): "This way, no real-time calculations need to
-take place when new jobs arrive, as pre-calculated values already exist and
-can be assigned to the job based on the associated user identity."
+Fetches usage totals from the UMS and policy trees from the PDS
+periodically and *pre-calculates* the fairshare tree with the current
+fairshare values for all users (paper Section II-A): "This way, no
+real-time calculations need to take place when new jobs arrive, as
+pre-calculated values already exist and can be assigned to the job based
+on the associated user identity."
 
 Queries therefore never trigger computation — they read the last refresh,
 whose age is delay source II/IV in the update-delay analysis.
@@ -52,7 +53,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from ..core.distance import FairshareParameters
-from ..core.fairshare import FairshareTree
 from ..core.flat import FlatFairshare, FlatPolicy
 from ..core.projection import PercentalProjection, Projection
 from ..core.vector import FairshareVector
@@ -152,7 +152,6 @@ class FairshareCalculationService:
         #: UMS decay scale the current result's absolute usage is at
         self._result_scale: float = 1.0
         self._refresh_key: Optional[tuple] = None
-        self._tree_cache: Optional[FairshareTree] = None
         self._values: Mapping[str, float] = {}
         self._values_vec: Optional["np.ndarray"] = None
         # -- incremental usage fold ------------------------------------------
@@ -227,7 +226,6 @@ class FairshareCalculationService:
                 self._result = self._rescaled(
                     self._result, scale / self._result_scale)
                 self._result_scale = scale
-                self._tree_cache = None
             self._computed_at = self.engine.now
             self._capture_horizons()
             self._metrics["refreshes"].inc()
@@ -332,7 +330,6 @@ class FairshareCalculationService:
             if timed:
                 self._phase_hist["project"].observe(time.perf_counter() - t0)
         self._by_name = self._flat.by_name
-        self._tree_cache = None
         self._refresh_key = refresh_key
         self._computed_at = self.engine.now
         self._capture_horizons()
@@ -570,10 +567,7 @@ class FairshareCalculationService:
         path = self._resolve_path(identity)
         if path is None or self._result is None:
             return None
-        if path in self._result.flat.leaf_slot:
-            return self._result.vector(path)
-        # internal-node paths go through the materialized view (rare)
-        return self.tree().vector(path)  # type: ignore[union-attr]
+        return self._result.vector(path)
 
     def values(self) -> Dict[str, float]:
         """All users' projected values (leaf path -> value)."""
@@ -611,14 +605,6 @@ class FairshareCalculationService:
     def snapshot_epoch(self):
         """Policy epoch of the last refresh (None before the first)."""
         return self._refresh_key[0] if self._refresh_key is not None else None
-
-    def tree(self) -> Optional[FairshareTree]:
-        """The classic object-tree view of the last refresh (lazy)."""
-        if self._result is None:
-            return None
-        if self._tree_cache is None:
-            self._tree_cache = self._result.to_tree()
-        return self._tree_cache
 
     def flat_result(self) -> Optional[FlatFairshare]:
         """The array-backed result of the last refresh."""

@@ -1,9 +1,8 @@
 """Usage Monitoring Service (UMS).
 
 Gathers usage histograms from one or more USSs and pre-computes decayed
-per-user usage totals (and usage trees shaped by the site policy) on a
-refresh interval (paper Section II-A).  The refresh interval is delay
-source II in the update-delay analysis.
+per-user usage totals on a refresh interval (paper Section II-A).  The
+refresh interval is delay source II in the update-delay analysis.
 
 Refresh is **incremental** (DESIGN.md §7): instead of merging every
 histogram and re-decaying every user each period, the UMS keeps cached
@@ -52,8 +51,6 @@ from types import MappingProxyType
 from typing import Deque, Dict, List, Mapping, Optional, Set
 
 from ..core.decay import DecayFunction, ExponentialDecay, NoDecay
-from ..core.tree import Tree
-from ..core.usage import UsageTree, build_usage_tree
 from ..obs import trace
 from ..obs.registry import MetricsRegistry, metric_property
 from ..sim.engine import PeriodicTask, SimulationEngine
@@ -352,10 +349,6 @@ class UsageMonitoringService:
                 out.append(self._applied_traces.popleft())
             except IndexError:
                 return out
-
-    def usage_tree(self, structure: Tree) -> UsageTree:
-        """Usage tree mirroring ``structure`` from the pre-computed totals."""
-        return build_usage_tree(structure, self.usage_totals())
 
     def stop(self) -> None:
         if self._task is not None:

@@ -1,22 +1,24 @@
 """Unit tests for the array-backed fairshare kernel (repro.core.flat).
 
-The kernel must be an exact drop-in for the object-tree computation: every
-test compares against :func:`compute_fairshare_tree` output, including the
-three projections and the materialized tree view.
+The kernel must compute what the naive recursive reference in
+``tests/oracle`` computes: every comparison below is against it, including
+the three projections and the vectors of internal nodes.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.distance import FairshareParameters
-from repro.core.fairshare import compute_fairshare_tree
 from repro.core.flat import FlatPolicy, compute_fairshare_flat
 from repro.core.policy import PolicyTree
 from repro.core.projection import (
     BitwiseVectorProjection,
     DictionaryOrderingProjection,
     PercentalProjection,
+    Projection,
 )
+
+from .. import oracle
 
 
 @pytest.fixture
@@ -81,13 +83,11 @@ class TestAgainstReference:
         usage = {p: float(int(rng.integers(0, 1000)))
                  for p in policy.leaf_paths() if rng.random() < 0.8}
         params = FairshareParameters(k=float(rng.choice([0.0, 0.3, 0.5, 1.0])))
-        ref = compute_fairshare_tree(policy, per_user_usage=usage,
-                                     parameters=params)
+        ref = oracle.fairshare(policy, usage, params)
         res = compute_fairshare_flat(policy, usage, params)
         flat = res.flat
-        for node in ref.walk():
-            if node.parent is None:
-                continue
+        assert set(ref) == set(flat.paths)
+        for node in ref.values():
             i = flat.path_index[node.path]
             assert res.target_share[i] == pytest.approx(node.target_share, abs=1e-12)
             assert res.usage_share[i] == pytest.approx(node.usage_share, abs=1e-12)
@@ -105,9 +105,17 @@ class TestAgainstReference:
         policy = random_policy(rng)
         usage = {p: float(int(rng.integers(0, 1000)))
                  for p in policy.leaf_paths()}
-        ref = compute_fairshare_tree(policy, per_user_usage=usage)
+        ref = oracle.fairshare(policy, usage)
         res = compute_fairshare_flat(policy, usage)
-        a = projection.project(ref)
+        vectors = {n.path: oracle.vector(n) for n in ref.values() if n.is_leaf}
+        if isinstance(projection, PercentalProjection):
+            a = oracle.percental(ref)
+        elif isinstance(projection, DictionaryOrderingProjection):
+            a = oracle.dictionary(vectors)
+        else:
+            a = {path: oracle.bitwise(vec, projection.bits_per_level,
+                                      projection.max_levels)
+                 for path, vec in vectors.items()}
         b = projection.project_flat(res)
         assert set(a) == set(b)
         for path in a:
@@ -115,30 +123,37 @@ class TestAgainstReference:
 
     def test_vectors_match_reference(self, nested_policy):
         usage = {"/HPC/LQ": 10.0, "/HPC/KAW/u1": 5.0, "/SWE": 30.0}
-        ref = compute_fairshare_tree(nested_policy, per_user_usage=usage)
+        ref = oracle.fairshare(nested_policy, usage)
         res = compute_fairshare_flat(nested_policy, usage)
-        rv, fv = ref.vectors(), res.vectors()
+        rv = {n.path: oracle.vector(n) for n in ref.values() if n.is_leaf}
+        fv = res.vectors()
         assert set(rv) == set(fv)
         for path in rv:
             assert rv[path].depth == fv[path].depth
             assert fv[path].elements == pytest.approx(rv[path].elements, abs=1e-9)
 
     def test_to_tree_is_equivalent_view(self, nested_policy):
+        """The oracle's object tree and the flat arrays are two views of
+        one refresh: same nodes, same priorities, same vectors — internal
+        nodes' vectors included."""
         usage = {"/HPC/KAW/u2": 7.0, "/SWE": 1.0}
-        ref = compute_fairshare_tree(nested_policy, per_user_usage=usage)
-        view = compute_fairshare_flat(nested_policy, usage).to_tree()
-        assert [n.path for n in view.walk()] == [n.path for n in ref.walk()]
-        assert view.priorities() == pytest.approx(ref.priorities())
-        assert view.vector("/HPC/KAW/u2").elements == \
-            pytest.approx(ref.vector("/HPC/KAW/u2").elements)
+        ref = oracle.fairshare(nested_policy, usage)
+        res = compute_fairshare_flat(nested_policy, usage)
+        assert sorted(ref) == sorted(res.flat.paths)
+        assert res.priorities() == pytest.approx(
+            {n.path: n.priority for n in ref.values() if n.is_leaf})
+        for path in ("/HPC/KAW/u2", "/HPC/KAW", "/HPC"):
+            assert res.vector(path).elements == \
+                pytest.approx(oracle.vector(ref[path]).elements)
 
     def test_custom_projection_falls_back_via_view(self, nested_policy):
-        from repro.core.projection import Projection
+        """A projection implements only the array form; the dict view is
+        derived from it in the base class."""
 
         class LeafCount(Projection):
-            def project(self, tree):
-                leaves = list(tree.leaves())
-                return {leaf.path: 1.0 / len(leaves) for leaf in leaves}
+            def project_flat_array(self, result):
+                return np.full(len(result.leaf_paths),
+                               1.0 / len(result.leaf_paths))
 
         res = compute_fairshare_flat(nested_policy, {})
         values = LeafCount().project_flat(res)
@@ -147,12 +162,13 @@ class TestAgainstReference:
 
 class TestUsageSemantics:
     def test_bare_names_and_paths_mix(self, nested_policy):
-        # bare names resolve like build_usage_tree: first pre-order leaf
-        ref = compute_fairshare_tree(nested_policy,
-                                     per_user_usage={"u1": 5.0, "/SWE": 3.0})
+        # bare names resolve to the first leaf in pre-order
+        ref = oracle.fairshare(nested_policy, {"u1": 5.0, "/SWE": 3.0})
         res = compute_fairshare_flat(nested_policy, {"u1": 5.0, "/SWE": 3.0})
-        for path, prio in ref.priorities().items():
-            assert res.priorities()[path] == pytest.approx(prio, abs=1e-12)
+        for node in ref.values():
+            if node.is_leaf:
+                assert res.priorities()[node.path] == \
+                    pytest.approx(node.priority, abs=1e-12)
 
     def test_unknown_users_ignored(self, nested_policy):
         res = compute_fairshare_flat(nested_policy, {"ghost": 99.0})

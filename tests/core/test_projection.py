@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fairshare import compute_fairshare_tree
+from repro.core.flat import compute_fairshare_flat
 from repro.core.policy import PolicyTree
 from repro.core.projection import (
     BitwiseVectorProjection,
@@ -15,7 +15,7 @@ from repro.core.vector import FairshareVector
 
 def make_tree(usage):
     policy = PolicyTree.from_dict({u: 1 for u in usage})
-    return compute_fairshare_tree(policy, per_user_usage=usage)
+    return compute_fairshare_flat(policy, usage)
 
 
 class TestDictionaryOrdering:
@@ -55,7 +55,7 @@ class TestDictionaryOrdering:
 
     def test_project_tree(self):
         tree = make_tree({"a": 10.0, "b": 1.0})
-        values = DictionaryOrderingProjection().project(tree)
+        values = DictionaryOrderingProjection().project_flat(tree)
         assert values["/b"] > values["/a"]
 
 
@@ -115,25 +115,25 @@ class TestBitwiseVector:
 class TestPercental:
     def test_balance_maps_to_half(self):
         tree = make_tree({"a": 1.0, "b": 1.0})  # equal targets, equal usage
-        values = PercentalProjection().project(tree)
+        values = PercentalProjection().project_flat(tree)
         assert values["/a"] == pytest.approx(0.5)
 
     def test_underserved_above_half(self):
         tree = make_tree({"a": 0.0, "b": 10.0})
-        values = PercentalProjection().project(tree)
+        values = PercentalProjection().project_flat(tree)
         assert values["/a"] > 0.5 > values["/b"]
 
     def test_values_in_unit_range(self):
         tree = make_tree({"a": 1000.0, "b": 0.001})
-        for v in PercentalProjection().project(tree).values():
+        for v in PercentalProjection().project_flat(tree).values():
             assert 0.0 <= v <= 1.0
 
     def test_uses_total_share_products(self):
         policy = PolicyTree.from_dict({"proj": (0.2, {"u": 1, "v": 3}),
                                        "rest": 0.8})
         # paper example: project share 0.20 * user share 0.25 = total 0.05
-        tree = compute_fairshare_tree(policy, per_user_usage={})
-        values = PercentalProjection().project(tree)
+        tree = compute_fairshare_flat(policy, {})
+        values = PercentalProjection().project_flat(tree)
         assert values["/proj/u"] == pytest.approx((0.05 - 0.0 + 1) / 2)
 
 

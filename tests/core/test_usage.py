@@ -1,10 +1,11 @@
-"""Unit tests for usage records, histograms, and usage trees."""
+"""Unit tests for usage records, histograms, and the usage roll-up."""
 
 import pytest
 
 from repro.core.decay import ExponentialDecay, NoDecay
 from repro.core.policy import PolicyTree
-from repro.core.usage import UsageHistogram, UsageNode, UsageRecord, UsageTree, build_usage_tree
+from repro.core.flat import FlatPolicy
+from repro.core.usage import UsageHistogram, UsageRecord
 
 
 class TestUsageRecord:
@@ -273,63 +274,71 @@ class TestNewestMidpoints:
                                         "b": pytest.approx(5.0)}
 
 
+def rolled_up(policy, usage):
+    """The kernel's usage view: per-node usage and sibling usage shares."""
+    result = FlatPolicy(policy).compute(usage)
+    index = result.flat.path_index
+    return ({p: float(result.usage[i]) for p, i in index.items()},
+            {p: float(result.usage_share[i]) for p, i in index.items()},
+            result)
+
+
 class TestUsageTree:
+    """How the kernel rolls leaf usage up the policy tree."""
+
     def test_roll_up_sums_children(self):
-        t = UsageTree()
-        t.set_usage("/g/u1", 10.0)
-        t.set_usage("/g/u2", 30.0)
-        t.roll_up()
-        assert t["/g"].usage == pytest.approx(40.0)
-        assert t.root.usage == pytest.approx(40.0)
+        policy = PolicyTree.from_dict({"g": {"u1": 1, "u2": 1}})
+        usage, _, result = rolled_up(policy, {"/g/u1": 10.0, "/g/u2": 30.0})
+        assert usage["/g"] == pytest.approx(40.0)
+        assert result.group_usage_sum[result.flat.root_gid] == pytest.approx(40.0)
 
     def test_sibling_share(self):
-        t = UsageTree()
-        t.set_usage("/g/u1", 10.0)
-        t.set_usage("/g/u2", 30.0)
-        t.roll_up()
-        assert t["/g/u1"].sibling_share == pytest.approx(0.25)
-        assert t["/g/u2"].sibling_share == pytest.approx(0.75)
+        policy = PolicyTree.from_dict({"g": {"u1": 1, "u2": 1}})
+        _, share, _ = rolled_up(policy, {"/g/u1": 10.0, "/g/u2": 30.0})
+        assert share["/g/u1"] == pytest.approx(0.25)
+        assert share["/g/u2"] == pytest.approx(0.75)
 
     def test_sibling_share_idle_group_is_zero(self):
-        t = UsageTree()
-        t.set_usage("/g/u1", 0.0)
-        t.set_usage("/g/u2", 0.0)
-        t.roll_up()
-        assert t["/g/u1"].sibling_share == 0.0
+        policy = PolicyTree.from_dict({"g": {"u1": 1, "u2": 1}})
+        _, share, _ = rolled_up(policy, {"/g/u1": 0.0, "/g/u2": 0.0})
+        assert share["/g/u1"] == 0.0
 
     def test_total_usage_share_is_product(self):
-        t = UsageTree()
-        t.set_usage("/a/x", 30.0)
-        t.set_usage("/a/y", 10.0)
-        t.set_usage("/b/z", 60.0)
-        t.roll_up()
+        policy = PolicyTree.from_dict({"a": {"x": 1, "y": 1}, "b": {"z": 1}})
+        _, _, result = rolled_up(policy, {"/a/x": 30.0, "/a/y": 10.0,
+                                          "/b/z": 60.0})
+        _, usage_total = result.path_products()
         # a has 40% of total, x has 75% of a
-        assert t["/a/x"].total_usage_share == pytest.approx(0.4 * 0.75)
+        assert usage_total[result.flat.leaf_slot["/a/x"]] == \
+            pytest.approx(0.4 * 0.75)
 
 
 class TestBuildUsageTree:
+    """How per-user usage keys land on policy leaves."""
+
     @pytest.fixture
     def policy(self) -> PolicyTree:
         return PolicyTree.from_dict({"g": (1, {"u1": 1, "u2": 1}), "solo": 1})
 
     def test_maps_by_leaf_path(self, policy):
-        tree = build_usage_tree(policy, {"/g/u1": 5.0})
-        assert tree["/g/u1"].usage == 5.0
+        usage, _, _ = rolled_up(policy, {"/g/u1": 5.0})
+        assert usage["/g/u1"] == 5.0
 
     def test_maps_by_leaf_name(self, policy):
-        tree = build_usage_tree(policy, {"u2": 7.0, "solo": 1.0})
-        assert tree["/g/u2"].usage == 7.0
-        assert tree["/solo"].usage == 1.0
+        usage, _, _ = rolled_up(policy, {"u2": 7.0, "solo": 1.0})
+        assert usage["/g/u2"] == 7.0
+        assert usage["/solo"] == 1.0
 
     def test_unknown_users_ignored(self, policy):
-        tree = build_usage_tree(policy, {"ghost": 99.0})
-        assert tree.root.usage == 0.0
+        usage, _, _ = rolled_up(policy, {"ghost": 99.0, "/g": 5.0})
+        assert sum(usage.values()) == 0.0
 
     def test_internal_nodes_rolled_up(self, policy):
-        tree = build_usage_tree(policy, {"u1": 1.0, "u2": 3.0})
-        assert tree["/g"].usage == pytest.approx(4.0)
+        usage, _, _ = rolled_up(policy, {"u1": 1.0, "u2": 3.0})
+        assert usage["/g"] == pytest.approx(4.0)
 
     def test_structure_mirrors_policy(self, policy):
-        tree = build_usage_tree(policy, {})
-        assert sorted(l.path for l in tree.leaves()) == \
-            sorted(l.path for l in policy.leaves())
+        flat = FlatPolicy(policy)
+        assert sorted(flat.leaf_paths) == sorted(l.path for l in policy.leaves())
+        assert sorted(flat.paths) == sorted(n.path for n in policy.walk()
+                                            if n.parent is not None)

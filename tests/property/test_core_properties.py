@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import absolute_distance, balance_score, combined_priority, relative_distance
-from repro.core.fairshare import compute_fairshare_tree
+from repro.core.flat import compute_fairshare_flat
 from repro.core.policy import PolicyTree
 from repro.core.vector import FairshareVector
 
@@ -105,25 +105,25 @@ class TestFairshareTreeProperties:
     @given(user_weights, user_usages)
     def test_target_shares_sum_to_one(self, weights, usage):
         policy = PolicyTree.from_dict(dict(weights))
-        tree = compute_fairshare_tree(policy, per_user_usage=dict(usage))
-        total = sum(leaf.target_share for leaf in tree.leaves())
+        tree = compute_fairshare_flat(policy, dict(usage))
+        total = sum(tree.target_share[tree.flat.leaf_index])
         assert math.isclose(total, 1.0, rel_tol=1e-9)
 
     @settings(max_examples=50)
     @given(user_weights, user_usages)
     def test_usage_shares_sum_to_at_most_one(self, weights, usage):
         policy = PolicyTree.from_dict(dict(weights))
-        tree = compute_fairshare_tree(policy, per_user_usage=dict(usage))
-        total = sum(leaf.usage_share for leaf in tree.leaves())
+        tree = compute_fairshare_flat(policy, dict(usage))
+        total = sum(tree.usage_share[tree.flat.leaf_index])
         assert total <= 1.0 + 1e-9
 
     @settings(max_examples=50)
     @given(user_weights, user_usages)
     def test_balances_in_unit_range(self, weights, usage):
         policy = PolicyTree.from_dict(dict(weights))
-        tree = compute_fairshare_tree(policy, per_user_usage=dict(usage))
-        for leaf in tree.leaves():
-            assert 0.0 <= leaf.balance <= 1.0
+        tree = compute_fairshare_flat(policy, dict(usage))
+        for balance in tree.balance[tree.flat.leaf_index]:
+            assert 0.0 <= balance <= 1.0
 
     @settings(max_examples=50)
     @given(user_weights, user_usages)
@@ -137,5 +137,5 @@ class TestFairshareTreeProperties:
         usage.pop("idle", None)
         usage["busy"] = max(usage.get("busy", 0.0), 1.0)
         policy = PolicyTree.from_dict(weights)
-        tree = compute_fairshare_tree(policy, per_user_usage=usage)
-        assert tree.priority("/idle") >= tree.priority("/busy")
+        tree = compute_fairshare_flat(policy, usage)
+        assert tree.node_priority("/idle") >= tree.node_priority("/busy")

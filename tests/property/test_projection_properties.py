@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fairshare import compute_fairshare_tree
+from repro.core.flat import compute_fairshare_flat
 from repro.core.policy import PolicyTree
 from repro.core.projection import (
     BitwiseVectorProjection,
@@ -102,8 +102,8 @@ class TestPercentalProperties:
     @given(user_usage)
     def test_values_in_unit_range(self, usage):
         policy = PolicyTree.from_dict({u: 1 for u in usage})
-        tree = compute_fairshare_tree(policy, per_user_usage=dict(usage))
-        values = PercentalProjection().project(tree)
+        tree = compute_fairshare_flat(policy, dict(usage))
+        values = PercentalProjection().project_flat(tree)
         assert all(0.0 <= v <= 1.0 for v in values.values())
 
     @settings(max_examples=60)
@@ -111,8 +111,8 @@ class TestPercentalProperties:
     def test_flat_tree_order_matches_vectors(self, usage):
         """On a flat hierarchy percental and lexicographic order agree."""
         policy = PolicyTree.from_dict({u: 1 for u in usage})
-        tree = compute_fairshare_tree(policy, per_user_usage=dict(usage))
-        values = PercentalProjection().project(tree)
+        tree = compute_fairshare_flat(policy, dict(usage))
+        values = PercentalProjection().project_flat(tree)
         vectors = tree.vectors()
         for a in values:
             for b in values:
@@ -125,8 +125,8 @@ class TestPercentalProperties:
         usage = dict(usage)
         users = sorted(usage)
         policy = PolicyTree.from_dict({u: 1 for u in users})
-        tree = compute_fairshare_tree(policy, per_user_usage=usage)
-        values = PercentalProjection().project(tree)
+        tree = compute_fairshare_flat(policy, usage)
+        values = PercentalProjection().project_flat(tree)
         ranked = sorted(users, key=lambda u: usage.get(u, 0.0))
         projected = [values[f"/{u}"] for u in ranked]
         assert all(projected[i] >= projected[i + 1] - 1e-12

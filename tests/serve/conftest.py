@@ -135,10 +135,9 @@ def scripted_server(script):
     ``index``-th connection (then closes it); yields ``(host, port)``.
 
     For faults no real aequusd produces on demand: garbage, late or
-    trickled replies, an opcode the server does not know.  Drive it with
-    ``binary=False`` clients so every request is a JSON frame
-    :func:`read_json_request` can read, or read both framings with
-    :func:`read_request`.
+    trickled replies, an opcode the server does not know.  Admin ops
+    (PING, METRICS) arrive as JSON frames :func:`read_json_request` can
+    read; :func:`read_request` reads both framings.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)

@@ -1,13 +1,11 @@
-"""Binary (v2) wire protocol: negotiation matrix, frames, recovery.
+"""Binary (v2) wire protocol: one data plane, frames, recovery.
 
-The upgrade contract: clients send a JSON HELLO on every new connection
-and only speak binary when the server advertises ``binary: 2``.  Every
-other cell of the matrix — binary client against a JSON-only server,
-JSON client against a binary server, a server predating HELLO — must
-degrade to plain JSON without the caller noticing.  Malformed binary
-frames get structured error statuses, and a leaf-table recompile
-invalidates cached ids via EPOCH_CHANGED, which clients recover from by
-re-resolving names.
+The contract: every data op travels binary from a connection's first
+request — no HELLO, no negotiation — and the JSON plane answers only the
+admin ops and the annotated detail read (any other JSON op answers
+``UNSUPPORTED_OP``).  Malformed binary frames get structured error
+statuses, and a leaf-table recompile invalidates cached ids via
+EPOCH_CHANGED, which clients recover from by re-resolving names.
 """
 
 import asyncio
@@ -20,19 +18,27 @@ from repro.serve import server as server_module
 from repro.serve.backend import SiteBackend
 from repro.serve.client import (AequusServerError, AequusTransportError,
                                 SyncAequusClient)
-from repro.serve.protocol import (BF_BY_ID, BIN_FS_FULL, BIN_FS_REPLY,
-                                  BIN_HEADER, BIN_REP_MAGIC, BIN_REQ_MAGIC,
-                                  BOP_BATCH_FAIRSHARE, BOP_GET_FAIRSHARE,
-                                  BOP_LOOKUP_ACCOUNT, BOP_PING, BST_BAD_BATCH,
-                                  BST_MALFORMED, BST_OK, BST_OVERSIZED,
-                                  BST_UNSUPPORTED_OP, ERR_UNKNOWN_USER,
-                                  NO_LEAF_ID, bin_error, bin_lookup_account,
-                                  bin_request, encode_frame, error_reply,
-                                  ok_reply, read_bin_reply)
+from repro.serve.protocol import (BF_BY_ID, BIN_FS_REPLY, BIN_HEADER,
+                                  BIN_REQ_MAGIC, BOP_BATCH_FAIRSHARE,
+                                  BOP_GET_FAIRSHARE, BOP_LOOKUP_ACCOUNT,
+                                  BOP_PING, BST_BAD_BATCH, BST_MALFORMED,
+                                  BST_OK, BST_OVERSIZED, BST_UNSUPPORTED_OP,
+                                  ERR_UNSUPPORTED_OP, OPS, bin_error,
+                                  bin_lookup_account, bin_request,
+                                  encode_frame, read_bin_reply)
 from repro.serve.server import AequusServer, ServerThread
 from repro.services.irs import IdentityResolutionError
 
 from .conftest import read_request, scripted_server
+from .test_robustness import raw_exchange
+
+#: JSON ops the plane no longer has: their binary forms answer them
+RETIRED_JSON_OPS = [
+    {"op": "GET_VECTOR", "user": "alice"},
+    {"op": "RESOLVE_IDENTITY", "user": "sys_alice"},
+    {"op": "REPORT_USAGE", "user": "alice", "start": 0.0, "end": 1.0},
+    {"op": "BATCH", "requests": [{"op": "PING"}]},
+]
 
 
 def _bin_exchange(host, port, frames, expect_replies):
@@ -57,38 +63,32 @@ def _bin_exchange(host, port, frames, expect_replies):
 
 class TestNegotiationMatrix:
     def test_binary_client_binary_server_upgrades(self, served, client):
+        """Binary from the first request: no HELLO, no JSON frame."""
         _, _, thread = served
         value, known = client.lookup_fairshare("alice")
         assert known is True
         client.lookup_fairshare("alice")  # second hit goes by leaf id
-        assert client.stats["binary_upgrades"] >= 1
-        assert thread.server.stats["binary_requests"] >= 2
+        assert thread.server.stats["binary_requests"] == \
+            thread.server.stats["requests"] == 2
 
-    def test_binary_client_json_only_server_falls_back(self, small_site):
-        from repro.serve.backend import SiteBackend
-        _, site = small_site
-        thread = ServerThread(AequusServer(SiteBackend.for_site(site),
-                                           binary=False)).start()
-        try:
-            with SyncAequusClient(thread.host, thread.port,
-                                  timeout=5.0) as client:
-                hello = client.hello()
-                assert hello["binary"] == 0
-                value, known = client.lookup_fairshare("alice")
-                assert known is True
-                assert client.get_vector("alice").elements
-                assert client.report_usage("alice", 0.0, 10.0) is True
-                assert client.batch_lookup_fairshare(
-                    ["alice", "bob"])["bob"][1] is True
-                assert client.stats["binary_upgrades"] == 0
-                assert thread.server.stats["binary_requests"] == 0
-        finally:
-            thread.stop()
+    def test_json_data_ops_answer_unsupported_op(self, served):
+        """The JSON plane is the admin ops plus the detail read; the data
+        ops it used to carry answer UNSUPPORTED_OP in place."""
+        _, site, thread = served
+        assert OPS == {"HELLO", "INFO", "METRICS", "TRACE_EXPORT", "PING",
+                       "GET_FAIRSHARE"}
+        frames = [encode_frame(dict(op, id=i))
+                  for i, op in enumerate(RETIRED_JSON_OPS)]
+        replies = raw_exchange(thread.host, thread.port, frames,
+                               len(frames))
+        assert [r["error"]["code"] for r in replies] == \
+            [ERR_UNSUPPORTED_OP] * len(frames)
+        assert site.uss.records_enqueued == 0
 
     def test_binary_client_pre_hello_server_falls_back(self, served,
                                                        monkeypatch):
-        """A server from before the HELLO op answers UNSUPPORTED_OP; the
-        client must treat that as JSON-only, not an error."""
+        """A server without the HELLO op serves the client unchanged: the
+        client never needs it."""
         _, _, thread = served
         monkeypatch.setattr(
             server_module, "OPS",
@@ -97,20 +97,22 @@ class TestNegotiationMatrix:
                               timeout=5.0) as client:
             value, known = client.lookup_fairshare("alice")
             assert known is True
-            assert client.stats["binary_upgrades"] == 0
+        assert thread.server.stats["errors"] == 0
 
     def test_json_client_binary_server_unmodified(self, served):
-        """binary=False reproduces the pre-upgrade client byte for byte —
-        the compatibility guarantee for deployed JSON clients."""
-        _, _, thread = served
-        with SyncAequusClient(thread.host, thread.port, binary=False,
-                              timeout=5.0) as client:
-            value, known = client.lookup_fairshare("alice")
-            assert known is True
-            assert client.get_vector("alice").elements
-            assert client.resolve_identity("sys_alice") == "alice"
-            info = client.info()
-            assert info["server"]["binary"] == 2  # offered, just unused
+        """A JSON-speaking consumer (CLI probe, fleet collector, scraper)
+        still gets every admin op and the detail read as JSON frames."""
+        _, site, thread = served
+        frames = [encode_frame({"op": op, "id": i}) for i, op in
+                  enumerate(("HELLO", "PING", "INFO", "METRICS"))]
+        frames.append(encode_frame({"op": "GET_FAIRSHARE", "id": 4,
+                                    "user": "alice"}))
+        replies = raw_exchange(thread.host, thread.port, frames, 5)
+        assert [r["id"] for r in replies] == [0, 1, 2, 3, 4]
+        assert all(r["ok"] for r in replies)
+        assert replies[0]["binary"] == 2
+        assert replies[4]["value"] == site.fcs.fairshare_value("alice")
+        assert replies[4]["horizons"] == site.fcs.usage_horizons()
         assert thread.server.stats["binary_requests"] == 0
 
 
@@ -246,39 +248,39 @@ class TestBothDrivers:
         assert client.lookup_fairshare("alice") == first  # by leaf id now
         assert client.get_vector("alice") == site.fcs.vector("alice")
         assert client.report_usage("bob", 0.0, 10.0) is True
-        assert client.stats["binary_upgrades"] >= 1
         assert thread.server.stats["binary_requests"] >= 4
         with pytest.raises(TypeError):
             client.leaf_ids["mallory"] = (0, 0)  # a view, not the cache
 
-    def test_json_only_server_falls_back(self, small_site, connect):
-        from repro.serve.backend import SiteBackend
-        _, site = small_site
-        thread = ServerThread(AequusServer(SiteBackend.for_site(site),
-                                           binary=False)).start()
-        try:
-            client = connect(thread.host, thread.port, timeout=5.0)
-            assert client.hello()["binary"] == 0
-            assert client.lookup_fairshare("alice")[1] is True
-            assert client.get_vector("alice").elements
-            assert client.report_usage("alice", 0.0, 10.0) is True
-            assert client.batch_lookup_fairshare(
-                ["alice", "bob"])["bob"][1] is True
-            assert client.stats["binary_upgrades"] == 0
-            assert not client.leaf_ids
-            assert thread.server.stats["binary_requests"] == 0
-            client.close()
-        finally:
-            thread.stop()
+    def test_every_data_op_goes_binary(self, served, connect):
+        """Every public data op answers over binary frames only; JSON
+        frames on the wire are the admin ops the caller asked for."""
+        _, site, thread = served
+        client = connect(thread.host, thread.port, timeout=5.0)
+        assert client.lookup_fairshare("alice")[1] is True
+        assert client.get_vector("alice").elements
+        assert client.report_usage("alice", 0.0, 10.0) is True
+        assert client.resolve_identity("sys_bob") == "bob"
+        assert client.lookup_account("sys_alice")[0] == "alice"
+        assert client.batch_lookup_fairshare(
+            ["alice", "bob"])["bob"][1] is True
+        (item,) = client.batch([{"op": "GET_FAIRSHARE", "user": "carol"}])
+        assert item["value"] == site.fcs.fairshare_value("carol")
+        stats = thread.server.stats
+        assert stats["requests"] == stats["binary_requests"] > 0
+        client.ping()
+        assert stats["requests"] == stats["binary_requests"] + 1
 
     def test_pre_hello_server_falls_back(self, served, connect, monkeypatch):
+        """Without HELLO in the server's op table nothing changes: the
+        client never sends it."""
         _, _, thread = served
         monkeypatch.setattr(
             server_module, "OPS",
             frozenset(op for op in server_module.OPS if op != "HELLO"))
         client = connect(thread.host, thread.port, timeout=5.0)
         assert client.lookup_fairshare("alice")[1] is True
-        assert client.stats["binary_upgrades"] == 0
+        assert thread.server.stats["errors"] == 0
 
     def test_epoch_changed_re_resolves_the_leaf_id(self, served, connect):
         engine, site, thread = served
@@ -329,14 +331,14 @@ class TestBothDrivers:
 
 
 class TestLookupAccount:
-    """LOOKUP_ACCOUNT answers a cold owner in one round trip; wherever the
-    op is missing, the fallback answers the same triple."""
+    """LOOKUP_ACCOUNT answers a cold owner in one round trip, and is the
+    only way identities resolve over the wire."""
 
     def test_one_round_trip_answers_identity_value_and_leaf(self, served,
                                                             connect):
         _, site, thread = served
         client = connect(thread.host, thread.port, timeout=5.0)
-        client.ping()  # dial and negotiate outside the count
+        client.ping()  # dial outside the count
         before = client.stats["requests"]
         expected = ("alice", site.fcs.fairshare_value("alice"), True)
         assert client.lookup_account("sys_alice") == expected
@@ -345,24 +347,22 @@ class TestLookupAccount:
         assert set(client.leaf_ids) == {"alice"}
         assert client.lookup_fairshare("alice") == expected[1:]
 
-    def test_json_only_server_falls_back_to_the_same_answer(self, small_site,
-                                                            connect):
-        _, site = small_site
-        thread = ServerThread(AequusServer(SiteBackend.for_site(site),
-                                           binary=False)).start()
-        try:
-            client = connect(thread.host, thread.port, timeout=5.0)
-            assert client.lookup_account("sys_bob") == \
-                ("bob", site.fcs.fairshare_value("bob"), True)
-            with pytest.raises(IdentityResolutionError):
-                client.lookup_account("sys_nobody")
-            assert thread.server.stats["binary_requests"] == 0
-            client.close()
-        finally:
-            thread.stop()
+    def test_resolve_identity_rides_lookup_account(self, served, connect):
+        """resolve_identity is one LOOKUP_ACCOUNT round trip; an account
+        that does not resolve raises, over either entry point."""
+        _, site, thread = served
+        client = connect(thread.host, thread.port, timeout=5.0)
+        assert client.resolve_identity("sys_bob") == "bob"
+        assert thread.server.stats["binary_requests"] == 1
+        assert set(client.leaf_ids) == {"bob"}
+        with pytest.raises(IdentityResolutionError):
+            client.resolve_identity("sys_nobody")
+        with pytest.raises(IdentityResolutionError):
+            client.lookup_account("sys_nobody")
 
     def test_pre_hello_server_falls_back_to_the_same_answer(
             self, served, connect, monkeypatch):
+        """Without HELLO in the server's op table the triple is the same."""
         _, site, thread = served
         monkeypatch.setattr(
             server_module, "OPS",
@@ -370,47 +370,27 @@ class TestLookupAccount:
         client = connect(thread.host, thread.port, timeout=5.0)
         assert client.lookup_account("sys_alice") == \
             ("alice", site.fcs.fairshare_value("alice"), True)
-        assert client.stats["binary_upgrades"] == 0
 
-    def test_unsupported_opcode_falls_back_once_per_connection(self,
-                                                               connect):
-        """A binary server predating the op: the client falls back and
-        does not ask the same connection again."""
-        identities = {"sys_alice": "alice"}
+    def test_unsupported_opcode_is_raised_not_fallen_back(self, connect):
+        """A server that does not know the opcode: the client raises its
+        UNSUPPORTED_OP on every call and the connection stays usable."""
         opcodes = []
 
         def script(index, sock):
             while (request := read_request(sock)) is not None:
-                if isinstance(request, dict):
-                    rid, op = request["id"], request["op"]
-                    if op == "HELLO":
-                        reply = ok_reply(rid, binary=2)
-                    elif request["user"] in identities:
-                        reply = ok_reply(
-                            rid, identity=identities[request["user"]])
-                    else:
-                        reply = error_reply(rid, ERR_UNKNOWN_USER, "no")
-                    sock.sendall(encode_frame(reply))
-                    continue
-                opcode, rid, body = request
+                opcode, rid, _body = request
                 opcodes.append(opcode)
-                if opcode == BOP_GET_FAIRSHARE and body == b"alice":
-                    sock.sendall(BIN_FS_FULL.pack(
-                        BIN_REP_MAGIC, BST_OK, 0, rid, BIN_FS_REPLY.size,
-                        0.25, 1, 1, 1, NO_LEAF_ID))
-                else:
-                    sock.sendall(bin_error(BST_UNSUPPORTED_OP, rid, "?"))
+                sock.sendall(bin_error(BST_UNSUPPORTED_OP, rid, "?"))
 
         with scripted_server(script) as (host, port):
             client = connect(host, port, timeout=5.0, pool_size=1)
             for _ in range(3):
-                assert client.lookup_account("sys_alice") == \
-                    ("alice", 0.25, True)
-            with pytest.raises(IdentityResolutionError):
-                client.lookup_account("sys_nobody")
+                with pytest.raises(AequusServerError) as err:
+                    client.lookup_account("sys_alice")
+                assert err.value.code == ERR_UNSUPPORTED_OP
+            assert client.stats["reconnects"] == 0
             client.close()
-        assert opcodes.count(BOP_LOOKUP_ACCOUNT) == 1
-        assert opcodes.count(BOP_GET_FAIRSHARE) == 3
+        assert opcodes == [BOP_LOOKUP_ACCOUNT] * 3
 
     def test_unknown_account_raises_is_counted_and_never_cached(
             self, served, connect):

@@ -41,8 +41,10 @@ class TestMetricsOp:
         assert "aequus_cache_lookups_total" in text
         assert "aequus_connections_active" in text
 
-    def test_scrape_carries_content_type(self, client):
-        reply = client.batch([{"op": "METRICS"}])[0]
+    def test_scrape_carries_content_type(self, served):
+        _, _, thread = served
+        (reply,) = raw_exchange(thread.host, thread.port,
+                                [encode_frame({"op": "METRICS", "id": 1})], 1)
         assert reply["ok"] is True
         assert reply["content_type"] == "text/plain; version=0.0.4"
 

@@ -245,10 +245,10 @@ class TestFaultyRepliesBothDrivers:
     """Reply-side faults against a scripted server, walked by the blocking
     and the pipelining driver alike (``connect`` yields each in turn).
 
-    Clients run ``binary=False``: no HELLO, every request a JSON frame.
+    The ops driven here (PING, METRICS) are JSON frames.
     """
 
-    KWARGS = dict(binary=False, pool_size=1, retries=2, backoff_base=0.01)
+    KWARGS = dict(pool_size=1, retries=2, backoff_base=0.01)
 
     @pytest.mark.parametrize("garbage", [
         HEADER.pack(9) + b"not json{",

@@ -10,8 +10,9 @@ import pytest
 
 from repro.serve.client import (AequusClient, AequusServerError,
                                 AequusTransportError, SyncAequusClient)
-from repro.serve.protocol import (ERR_BAD_VERSION, ERR_NOT_A_LEAF,
-                                  ERR_UNSUPPORTED_OP, PROTOCOL_VERSION)
+from repro.serve.protocol import (ERR_BAD_VERSION, ERR_MALFORMED,
+                                  ERR_NOT_A_LEAF, ERR_UNSUPPORTED_OP,
+                                  PROTOCOL_VERSION)
 from repro.services.irs import IdentityResolutionError
 
 
@@ -66,14 +67,12 @@ class TestSingleKeyOps:
 
 
 class TestRemappedAccount:
-    @pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
-    def test_remapped_account_resolves_to_its_new_identity(self, served,
-                                                           binary):
+    def test_remapped_account_resolves_to_its_new_identity(self, served):
         """The IRS is not versioned by the snapshot seq: a mapping replaced
         between two publishes must be answered at once, not memoised."""
         _, site, thread = served
         site.irs.store_mapping("sys_x", "alice")
-        with SyncAequusClient(thread.host, thread.port, binary=binary,
+        with SyncAequusClient(thread.host, thread.port,
                               timeout=5.0) as client:
             assert client.resolve_identity("sys_x") == "alice"
             site.irs.store_mapping("sys_x", "bob")  # no publish in between
@@ -115,30 +114,42 @@ class TestBatch:
         assert replies[0]["ok"] is False
 
     def test_mixed_batch(self, served, client):
-        engine, site, _ = served
+        """Only fairshare reads batch; other items answer UNSUPPORTED_OP in
+        place and never reach the server."""
+        engine, site, thread = served
+        before = thread.server.stats["requests"]
         replies = client.batch([
             {"op": "RESOLVE_IDENTITY", "user": "sys_bob"},
+            {"op": "GET_FAIRSHARE", "user": "bob"},
             {"op": "REPORT_USAGE", "user": "bob", "start": engine.now,
              "end": engine.now + 60.0},
+            {"op": "GET_FAIRSHARE"},
             {"op": "PING"},
         ])
-        assert replies[0]["identity"] == "bob"
-        assert replies[1]["accepted"] is True
-        assert replies[2]["pong"] is True
+        assert [r["ok"] for r in replies] == [False, True, False, False,
+                                              False]
+        assert replies[1]["value"] == site.fcs.fairshare_value("bob")
+        assert replies[3]["error"]["code"] == ERR_MALFORMED
+        assert {replies[i]["error"]["code"] for i in (0, 2, 4)} == \
+            {ERR_UNSUPPORTED_OP}
+        assert site.uss.records_enqueued == 0
+        # one by-name GET to learn bob's leaf id, then the batch itself
+        assert thread.server.stats["requests"] == before + 2
 
 
 class TestServerBehaviour:
-    def test_coalescing_counts_repeated_keys(self, served):
-        # the reply cache is a JSON-path feature (binary by-id replies are
-        # already minimal), so pin it with a JSON-only client
-        _, _, thread = served
-        from repro.serve.client import SyncAequusClient
-        before = thread.server.stats["coalesced"]
-        with SyncAequusClient(thread.host, port=thread.port,
-                              binary=False, timeout=5.0) as json_client:
-            for _ in range(10):
-                json_client.get_fairshare("alice")
-        assert thread.server.stats["coalesced"] >= before + 9
+    def test_repeated_keys_are_each_executed(self, served, client):
+        """No reply memo: each read of one key is executed and counted,
+        and an identity alias added between two reads is seen at once."""
+        _, site, thread = served
+        before = thread.server.stats["requests"]
+        for _ in range(10):
+            assert client.lookup_fairshare_detail("alice")["known"] is True
+        assert thread.server.stats["requests"] == before + 10
+        assert client.lookup_fairshare_detail("/CN=alice")["known"] is False
+        site.fcs.register_identity("/CN=alice", "alice")
+        site.fcs.refresh()  # publishes the alias without a usage change
+        assert client.lookup_fairshare_detail("/CN=alice")["known"] is True
 
     def test_bad_version_rejected(self, served):
         # the real client always stamps its own version; speak raw frames
@@ -209,8 +220,8 @@ class TestFreshnessSurface:
         assert all(v >= 0.0 for v in reply["staleness"].values())
 
     def test_detail_bypasses_coalescing(self, served, client):
-        """The horizons flag changes the reply shape, so it must not be
-        answered from a plain request's coalesced cache entry."""
+        """A detail read right after a plain read of the same key still
+        carries its annotations: nothing answers it from a memo."""
         (plain,) = client.batch([{"op": "GET_FAIRSHARE", "user": "alice"}])
         detail = client.lookup_fairshare_detail("alice")
         assert "horizons" not in plain

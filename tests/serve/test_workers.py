@@ -2,7 +2,7 @@
 
 Forks real worker processes (small counts, generous timeouts) and
 exercises the cross-process contracts: queries answered from the mapped
-snapshot in both protocols, worker identity in INFO, fleet-wide stats
+snapshot over both framings, worker identity in INFO, fleet-wide stats
 aggregation (``connections_active`` sums over every worker, whichever
 one answers), usage ingress riding the pipe back to the parent, crash
 restart, and clean shutdown with nothing left in /dev/shm.
@@ -49,20 +49,20 @@ def sharded(small_site):
 
 class TestShardedServing:
     def test_both_protocols_answer_from_shm(self, sharded, small_site):
+        """Binary data ops and the JSON detail read, all from the mapped
+        snapshot."""
         site, pool, _ = sharded
         expect = site.fcs.fairshare_value("alice")
-        with SyncAequusClient(port=pool.port, timeout=5.0) as binary:
-            value, known = binary.lookup_fairshare("alice")
+        with SyncAequusClient(port=pool.port, timeout=5.0) as client:
+            value, known = client.lookup_fairshare("alice")
             assert known is True and value == pytest.approx(expect)
-            assert binary.get_vector("alice").elements
-            assert binary.resolve_identity("sys_alice") == "alice"
-            assert binary.stats["binary_upgrades"] >= 1
-        with SyncAequusClient(port=pool.port, binary=False,
-                              timeout=5.0) as json_only:
-            value, known = json_only.lookup_fairshare("alice")
-            assert known is True and value == pytest.approx(expect)
-            batch = json_only.batch_lookup_fairshare(["alice", "bob"])
+            assert client.get_vector("alice").elements
+            assert client.resolve_identity("sys_alice") == "alice"
+            batch = client.batch_lookup_fairshare(["alice", "bob"])
             assert batch["bob"][1] is True
+            detail = client.lookup_fairshare_detail("alice")
+            assert detail["value"] == pytest.approx(expect)
+            assert detail["horizons"] == site.fcs.usage_horizons()
 
     def test_info_carries_worker_identity(self, sharded):
         _, pool, _ = sharded

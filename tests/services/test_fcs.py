@@ -35,7 +35,7 @@ class TestPrecomputation:
     def test_initial_refresh_at_construction(self, stack):
         _, _, _, _, fcs = stack
         assert fcs.refreshes == 1
-        assert fcs.tree() is not None
+        assert fcs.flat_result() is not None
 
     def test_values_served_from_precomputed_state(self, stack):
         engine, uss, _, _, fcs = stack
@@ -117,17 +117,20 @@ class TestIdentityResolution:
         uss.record_job(UsageRecord(user=dn1, site="a", start=0.0, end=400.0))
         uss.record_job(UsageRecord(user=dn2, site="a", start=0.0, end=600.0))
         engine.run_until(11.0)
-        tree = fcs.tree()
+        result = fcs.flat_result()
+        share = result.usage_share[[result.flat.path_index["/alice"],
+                                    result.flat.path_index["/bob"]]]
         # both identities' usage lands on /alice: 1000 of 1000 total
-        assert tree["/alice"].usage_share == pytest.approx(1.0)
-        assert tree["/bob"].usage_share == 0.0
+        assert share[0] == pytest.approx(1.0)
+        assert share[1] == 0.0
 
     def test_unregistered_alias_usage_is_ignored(self, stack):
         engine, uss, _, _, fcs = stack
         uss.record_job(UsageRecord(user="/C=SE/CN=stranger", site="a",
                                    start=0.0, end=500.0))
         engine.run_until(11.0)
-        assert fcs.tree()["/alice"].usage_share == 0.0
+        result = fcs.flat_result()
+        assert result.usage_share[result.flat.path_index["/alice"]] == 0.0
 
 
 class TestProjectionSwap:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.decay import ExponentialDecay, LinearDecay, NoDecay
+from repro.core.flat import FlatPolicy
 from repro.core.policy import PolicyTree
 from repro.core.usage import UsageRecord
 from repro.services.network import Network
@@ -99,9 +100,10 @@ class TestUsageTree:
         uss.record_job(UsageRecord(user="u1", site="a", start=0.0, end=30.0))
         engine.run_until(10.0)
         policy = PolicyTree.from_dict({"g": (1, {"u1": 1, "u2": 1})})
-        tree = ums.usage_tree(policy)
-        assert tree["/g/u1"].usage == pytest.approx(30.0)
-        assert tree["/g"].usage == pytest.approx(30.0)
+        flat = FlatPolicy(policy)
+        usage = flat.compute(ums.usage_totals()).usage
+        assert usage[flat.path_index["/g/u1"]] == pytest.approx(30.0)
+        assert usage[flat.path_index["/g"]] == pytest.approx(30.0)
 
     def test_multiple_sources_summed(self, engine):
         network = Network(engine, base_latency=0.1)
