@@ -227,6 +227,12 @@ class FlatPolicy:
 
     # -- per-refresh evaluation ---------------------------------------------
 
+    def leaf_row(self, key: str) -> Optional[int]:
+        """Leaf row a usage key (leaf path or bare leaf name) lands on, or
+        None when it names no leaf."""
+        return self.leaf_slot.get(
+            key if key.startswith("/") else self.by_name.get(key))
+
     def leaf_usage_vector(self, per_user_usage: Mapping[str, float]) -> np.ndarray:
         """Decayed usage totals as a dense per-leaf vector.
 
@@ -236,10 +242,7 @@ class FlatPolicy:
         """
         vec = np.zeros(self.n_leaves, dtype=np.float64)
         for key, value in per_user_usage.items():
-            path = key if key.startswith("/") else self.by_name.get(key)
-            if path is None:
-                continue
-            slot = self.leaf_slot.get(path)
+            slot = self.leaf_row(key)
             if slot is not None:
                 vec[slot] = float(value)
         return vec

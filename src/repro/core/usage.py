@@ -74,6 +74,10 @@ class UsageHistogram:
             raise ValueError("interval must be positive")
         self.interval = float(interval)
         self._bins: Dict[str, Dict[int, float]] = {}
+        #: bin index -> the one int object every user's entry for it keys
+        #: on: bins are global time slots, so without this each (user, bin)
+        #: entry holds its own 32-byte copy of the same index
+        self._bin_keys: Dict[int, int] = {}
         #: cursor id -> {user -> set of dirty bin indexes since last drain}
         self._cursors: Dict[int, Dict[str, Set[int]]] = {}
         self._cursor_ids = itertools.count()
@@ -116,9 +120,11 @@ class UsageHistogram:
         if end == start:
             return
         user_bins = self._bins.setdefault(user, {})
+        keys = self._bin_keys
         first = int(start // self.interval)
         last = int(end // self.interval)
         for b in range(first, last + 1):
+            b = keys.setdefault(b, b)
             lo = max(start, b * self.interval)
             hi = min(end, (b + 1) * self.interval)
             if hi > lo:
@@ -133,6 +139,7 @@ class UsageHistogram:
         if charge == 0:
             return
         user_bins = self._bins.setdefault(user, {})
+        bin_index = self._bin_keys.setdefault(bin_index, bin_index)
         user_bins[bin_index] = user_bins.get(bin_index, 0.0) + charge
         if self._cursors:
             self._mark(user, bin_index)
@@ -154,6 +161,7 @@ class UsageHistogram:
             if not user_bins:
                 del self._bins[user]
         else:
+            bin_index = self._bin_keys.setdefault(bin_index, bin_index)
             self._bins.setdefault(user, {})[bin_index] = charge
         if self._cursors:
             self._mark(user, bin_index)

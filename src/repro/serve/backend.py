@@ -24,7 +24,6 @@ from ..services.irs import IdentityResolutionError
 from .snapshot import FairshareSnapshot, SnapshotStore
 
 if TYPE_CHECKING:
-    from ..core.vector import FairshareVector
     from ..services.fcs import FairshareCalculationService
     from ..services.irs import IdentityResolutionService
     from ..services.site import AequusSite
@@ -79,14 +78,6 @@ class SiteBackend:
         value, known = snap.lookup(identity)
         return value, known, snap
 
-    def vector(self, identity: str,
-               snapshot: Optional[FairshareSnapshot] = None
-               ) -> Optional["FairshareVector"]:
-        snap = snapshot if snapshot is not None else self.store.current()
-        if snap is None:
-            return None
-        return snap.vector(identity)
-
     # -- identity ------------------------------------------------------------
 
     def resolve_identity(self, system_user: str) -> Optional[str]:
@@ -120,18 +111,7 @@ class SiteBackend:
             "time": now,
         }
         if snap is not None:
-            payload["snapshot"] = snap.describe()
-            # age and staleness from the store's single source of truth
-            payload["snapshot_age"] = self.store.age(now)
-            payload["staleness"] = self.store.staleness(
-                now, self.refresh_interval)
-            if snap.horizons:
-                # per-origin freshness: the usage horizon the served values
-                # incorporate, and how far behind "now" that is
-                payload["usage_horizons"] = {
-                    origin: {"horizon": horizon,
-                             "staleness": max(0.0, now - horizon)}
-                    for origin, horizon in sorted(snap.horizons.items())}
+            payload.update(snap.info(now, self.refresh_interval))
         if self.uss is not None:
             payload["usage_ingress"] = {
                 "enqueued": self.uss.records_enqueued,

@@ -413,7 +413,10 @@ class AequusServer:
                                      "leaf id from an old generation")
                     return
                 elems = snap.vector_elements(leaf_id)
-                resolution = snap.resolution
+                if elems is None:
+                    self.stats["errors"] += 1
+                    out += bin_error(BST_UNKNOWN_USER, rid, "no vector")
+                    return
             else:
                 try:
                     user = body.decode("utf-8")
@@ -422,10 +425,7 @@ class AequusServer:
                     out += bin_error(BST_MALFORMED, rid,
                                      "identity is not valid UTF-8")
                     return
-                vector = self.backend.vector(user, snap)
-                elems = list(vector.elements) if vector is not None else None
-                resolution = vector.resolution if vector is not None \
-                    else snap.resolution
+                elems = snap.vector_elements(snap.resolve_leaf(user)[2])
                 if elems is None:
                     self.stats["errors"] += 1
                     code = snap.vector_error_code(user)
@@ -434,16 +434,12 @@ class AequusServer:
                         else BST_UNKNOWN_USER, rid,
                         f"{user!r} has no leaf vector")
                     return
-            if elems is None:
-                self.stats["errors"] += 1
-                out += bin_error(BST_UNKNOWN_USER, rid, "no vector")
-                return
             if snap.still(stamp):
                 n = len(elems)
                 out += BIN_HEADER.pack(BIN_REP_MAGIC, BST_OK, 0, rid,
                                        BIN_VEC_HEAD.size + 8 * n)
                 out += BIN_VEC_HEAD.pack(snap.seq & 0xFFFFFFFF,
-                                         resolution, n)
+                                         snap.resolution, n)
                 out += struct.pack(">%dd" % n, *elems)
                 return
         raise RuntimeError("snapshot would not stabilize")

@@ -39,13 +39,18 @@ unlikely.  (CPython byte-level stores through ``memoryview`` under the
 GIL plus x86-TSO ordering make the counter protocol sound without
 explicit fences.)
 
-The **key table** maps every resolvable identity — leaf path, bare leaf
-name, and identity-map alias, merged with exactly
-:meth:`~repro.serve.snapshot.FairshareSnapshot.resolve_path` precedence
-(aliases win) — to its leaf row.  Readers copy it out once per
-``key_epoch`` (validated by the seqlock) and binary-search locally, with
-an LRU dict in front for hot keys.  Leaf rows double as the binary
-protocol's integer leaf ids, tagged with ``leaf_gen``.
+The **key table** is the FCS identity table
+(:meth:`~repro.services.fcs.FairshareCalculationService.identity_table`)
+sorted and encoded: every resolvable identity — leaf path, bare leaf name,
+internal-node path, identity-map alias — to its row, so shm resolves
+exactly as the FCS and the in-process snapshot do.  The FCS replaces that
+table only when the leaf generation moves or an alias is registered, and
+the writer re-encodes it only when handed a different table object; a
+publish that moved only values leaves ``key_epoch`` alone.  Readers copy
+the table out once per ``key_epoch`` (validated by the seqlock) and
+binary-search locally, with an LRU dict in front for hot keys.  Leaf rows
+double as the binary protocol's integer leaf ids, tagged with
+``leaf_gen``.
 
 Layout changes (policy recompile, alias growth beyond headroom) allocate
 a *new* segment pair under ``layout_gen + 1`` names; the old pair is
@@ -74,8 +79,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .protocol import NO_LEAF_ID
-from .snapshot import FairshareSnapshot
+from .snapshot import EpochReads, FairshareSnapshot
 
 __all__ = ["ShmSnapshotWriter", "ShmSnapshotReader", "ShmEpochView",
            "ShmBackend", "control_name"]
@@ -203,11 +207,11 @@ class ShmSnapshotWriter:
         self._bufs: List[shared_memory.SharedMemory] = []
         self._active = 0
         self._key_epoch = 0
-        self._key_sig: Optional[Tuple[Any, ...]] = None
+        #: the key table last encoded (compared by identity, never equality)
+        self._keys: Optional[Mapping[str, int]] = None
         self._key_blob = b""
         self._key_offs = np.zeros(1, dtype=_U4)
         self._key_ids = np.zeros(0, dtype=_U4)
-        self._aliases: Dict[str, str] = {}
         self._irs_table = dict(irs_table or {})
         #: (wall deadline, shm) pairs awaiting their grace-period unlink
         self._retired: List[Tuple[float, shared_memory.SharedMemory]] = []
@@ -241,53 +245,23 @@ class ShmSnapshotWriter:
     def publish(self, snap: FairshareSnapshot) -> None:
         """Publish one snapshot epoch (arrays derived from the snapshot)."""
         result = snap.result
-        if result is None:
-            return
-        flat = result.flat
-        values = snap.values_vec
-        if values is None:
-            values = np.asarray(
-                [snap.values.get(p, snap.unknown_user_value)
-                 for p in flat.leaf_paths], dtype=np.float64)
         self.publish_arrays(
             seq=snap.seq, leaf_gen=snap.leaf_gen,
             computed_at=snap.computed_at,
             unknown_user_value=snap.unknown_user_value,
             resolution=snap.resolution,
-            values=values,
+            values=snap.values_vec,
             matrix=result.element_matrix(),
             depths=np.asarray(result.leaf_depths, dtype=np.uint32),
-            keys=self._merged_keys(snap, flat),
-            key_sig=(snap.leaf_gen, id(snap.values), len(snap.identity_map),
-                     len(self._irs_table)),
+            keys=snap.rows,
             tail={
                 "site": snap.site,
                 "projection": snap.projection,
                 "epoch": list(snap.epoch) if isinstance(snap.epoch, tuple)
                 else snap.epoch,
                 "horizons": dict(snap.horizons),
-                "identity_map": dict(snap.identity_map),
                 "irs": self._irs_table,
             })
-
-    def _merged_keys(self, snap: FairshareSnapshot, flat) -> Dict[str, int]:
-        """Identity -> leaf row, resolve_path precedence (aliases win)."""
-        keys: Dict[str, int] = dict(flat.leaf_slot)
-        for name, path in snap.by_name.items():
-            row = flat.leaf_slot.get(path)
-            if row is not None:
-                keys[name] = row
-        for alias, target in snap.identity_map.items():
-            path = target if target.startswith("/") \
-                else snap.by_name.get(target)
-            row = flat.leaf_slot.get(path) if path is not None else None
-            if row is not None:
-                keys[alias] = row
-            else:
-                # the alias redirects to an unresolvable target: it must
-                # shadow any same-named leaf, exactly like resolve_path
-                keys.pop(alias, None)
-        return keys
 
     def publish_arrays(self, *, seq: int, leaf_gen: int, computed_at: float,
                        unknown_user_value: float, resolution: int,
@@ -295,10 +269,12 @@ class ShmSnapshotWriter:
                        keys: Mapping[str, int],
                        matrix: Optional[np.ndarray] = None,
                        depths: Optional[np.ndarray] = None,
-                       key_sig: Optional[Tuple[Any, ...]] = None,
                        tail: Optional[Dict[str, Any]] = None) -> None:
         """Low-level publish: arrays in, one epoch out.
 
+        ``keys`` (identity -> row) is sorted and encoded only when it is a
+        different object from the previous publish's, so a caller that
+        changes the table replaces it and never mutates it in place.
         Benchmarks use this to serve synthetic populations without
         building a full site stack; :meth:`publish` is sugar over it.
         """
@@ -311,8 +287,7 @@ class ShmSnapshotWriter:
             depths = np.ones(n_leaves, dtype=np.uint32)
         max_depth = int(matrix.shape[1]) if matrix.size else 1
 
-        sig = key_sig if key_sig is not None else (leaf_gen, len(keys))
-        if sig != self._key_sig:
+        if keys is not self._keys:
             items = sorted((k.encode("utf-8"), int(row))
                            for k, row in keys.items())
             blob = b"".join(k for k, _ in items)
@@ -324,7 +299,7 @@ class ShmSnapshotWriter:
             self._key_offs = offs
             self._key_ids = np.asarray([row for _, row in items], dtype=_U4)
             self._key_blob = blob
-            self._key_sig = sig
+            self._keys = keys
             self._key_epoch += 1
         n_keys = int(self._key_ids.shape[0])
 
@@ -467,20 +442,20 @@ class ShmSnapshotWriter:
 # reader
 # ---------------------------------------------------------------------------
 
-class ShmEpochView:
+class ShmEpochView(EpochReads):
     """Read surface over one published epoch (one data buffer).
 
-    Mirrors the slice of :class:`FairshareSnapshot` the server touches —
-    ``seq``/``epoch``/``horizons``/``lookup``/``vector``/``describe`` —
-    plus the by-id accessors the binary protocol needs.  Scalar reads are
-    validated with the buffer's seqlock; a racing republish surfaces as a
-    retry inside :class:`ShmSnapshotReader`, never as a torn value.
+    Serves :class:`~repro.serve.snapshot.EpochReads` — the surface the
+    in-process snapshot serves — over the mapped values and the key table,
+    plus the metadata the tail carries.  Scalar reads are validated with
+    the buffer's seqlock; a racing republish surfaces as a retry inside
+    :class:`ShmSnapshotReader`, never as a torn value.
     """
 
     __slots__ = ("_shm", "_lay", "seq", "computed_at", "unknown_user_value",
                  "leaf_gen", "n_leaves", "max_depth", "resolution",
-                 "n_keys", "key_epoch", "_values", "_matrix", "_depths",
-                 "_tail", "_keys", "_attached_wall")
+                 "n_keys", "key_epoch", "values_vec", "_matrix", "_depths",
+                 "_tail", "rows")
 
     def __init__(self, shm: shared_memory.SharedMemory, lay: _Layout,
                  keys: "_KeyTable", tail: Dict[str, Any],
@@ -491,15 +466,14 @@ class ShmEpochView:
          self.n_leaves, self.max_depth, self.resolution, self.n_keys,
          _blob_len, _tail_len, self.key_epoch) = meta
         self.seq = seq
-        self._values = np.frombuffer(shm.buf, dtype=_F8,
-                                     count=self.n_leaves,
-                                     offset=lay.o_values) \
+        self.values_vec = np.frombuffer(shm.buf, dtype=_F8,
+                                        count=self.n_leaves,
+                                        offset=lay.o_values) \
             if self.n_leaves else np.zeros(0, dtype=_F8)
         self._matrix = None
         self._depths = None
         self._tail = tail
-        self._keys = keys
-        self._attached_wall = time.time()
+        self.rows = keys
 
     # -- seqlock -------------------------------------------------------------
 
@@ -511,51 +485,6 @@ class ShmEpochView:
     def still(self, stamp: int) -> bool:
         (s,) = _U64.unpack_from(self._shm.buf, 0)
         return s == stamp
-
-    # -- identity resolution --------------------------------------------------
-
-    def resolve_leaf_id(self, identity: str) -> Optional[int]:
-        """Leaf row for any resolvable identity (path, name, alias)."""
-        return self._keys.cached_find(identity)
-
-    def value_by_id(self, leaf_id: int) -> Optional[float]:
-        if 0 <= leaf_id < self.n_leaves:
-            return float(self._values[leaf_id])
-        return None
-
-    def values_for_ids(self, ids: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, known) arrays for a batch of leaf rows."""
-        if self.n_leaves == 0:
-            n = len(ids)
-            return (np.full(n, self.unknown_user_value),
-                    np.zeros(n, dtype=bool))
-        known = (ids >= 0) & (ids < self.n_leaves)
-        values = np.where(known,
-                          self._values[np.clip(ids, 0, self.n_leaves - 1)],
-                          self.unknown_user_value)
-        return values, known
-
-    # -- snapshot-compatible query surface ------------------------------------
-
-    def resolve_path(self, identity: str) -> Optional[str]:
-        return identity if self.resolve_leaf_id(identity) is not None else None
-
-    def lookup(self, identity: str) -> Tuple[float, bool]:
-        row = self.resolve_leaf_id(identity)
-        if row is None:
-            return self.unknown_user_value, False
-        return float(self._values[row]), True
-
-    def resolve_leaf(self, identity: str) -> Tuple[float, bool, int]:
-        """(value, known, leaf id) — the binary GET_FAIRSHARE triple."""
-        row = self.resolve_leaf_id(identity)
-        if row is None:
-            return self.unknown_user_value, False, NO_LEAF_ID
-        return float(self._values[row]), True, row
-
-    def lookup_id(self, leaf_id: int) -> Optional[float]:
-        return self.value_by_id(leaf_id)
 
     def vector_elements(self, leaf_id: int) -> Optional[List[float]]:
         if not (0 <= leaf_id < self.n_leaves):
@@ -571,23 +500,6 @@ class ShmEpochView:
                                          offset=lay.o_depths)
         depth = int(self._depths[leaf_id])
         return self._matrix[leaf_id, :depth].tolist()
-
-    def vector(self, identity: str):
-        from ..core.vector import FairshareVector
-        row = self.resolve_leaf_id(identity)
-        if row is None:
-            return None
-        elems = self.vector_elements(row)
-        if elems is None:
-            return None
-        return FairshareVector(elems, self.resolution)
-
-    def vector_error_code(self, identity: str) -> str:
-        # the shm key table only carries leaves; anything unresolved is
-        # simply unknown here (internal-node classification needs the
-        # in-process snapshot)
-        from .protocol import ERR_UNKNOWN_USER
-        return ERR_UNKNOWN_USER
 
     # -- metadata -------------------------------------------------------------
 
@@ -609,10 +521,6 @@ class ShmEpochView:
         return self._tail.get("horizons", {})
 
     @property
-    def identity_map(self) -> Dict[str, str]:
-        return self._tail.get("identity_map", {})
-
-    @property
     def irs_table(self) -> Dict[str, str]:
         return self._tail.get("irs", {})
 
@@ -623,25 +531,6 @@ class ShmEpochView:
         if wall is None:
             return clock
         return clock + max(0.0, time.time() - wall)
-
-    def age(self, now: float) -> float:
-        return max(0.0, now - self.computed_at)
-
-    def staleness(self, now: float) -> Dict[str, float]:
-        return {origin: max(0.0, now - horizon)
-                for origin, horizon in self.horizons.items()}
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "site": self.site,
-            "seq": self.seq,
-            "epoch": list(self.epoch) if isinstance(self.epoch, tuple)
-            else self.epoch,
-            "computed_at": self.computed_at,
-            "projection": self.projection,
-            "users": self.n_leaves,
-            "origins": len(self.horizons),
-        }
 
 
 class _KeyTable:
@@ -663,7 +552,8 @@ class _KeyTable:
         self.n = int(ids.shape[0])
         self._cache: "OrderedDict[str, int]" = OrderedDict()
 
-    def cached_find(self, identity: str) -> Optional[int]:
+    def get(self, identity: str) -> Optional[int]:
+        """The identity's row, as the identity table's ``get`` answers."""
         row = self._cache.get(identity)
         if row is not None:
             self._cache.move_to_end(identity)
@@ -933,12 +823,6 @@ class ShmBackend:
             return value, known, snapshot
         return self.reader.lookup(identity)
 
-    def vector(self, identity: str, snapshot=None):
-        snap = snapshot if snapshot is not None else self.reader.view()
-        if snap is None:
-            return None
-        return snap.vector(identity)
-
     # -- identity -------------------------------------------------------------
 
     def resolve_identity(self, system_user: str) -> Optional[str]:
@@ -966,21 +850,6 @@ class ShmBackend:
             "time": self.now(),
         }
         if view is not None:
-            now = view.now()
-            payload["snapshot"] = view.describe()
-            payload["snapshot_age"] = view.age(now)
-            age = view.age(now)
-            if age <= self.refresh_interval:
-                verdict = "fresh"
-            elif age <= 3 * self.refresh_interval:
-                verdict = "stale"
-            else:
-                verdict = "dead"
-            payload["staleness"] = verdict
-            if view.horizons:
-                payload["usage_horizons"] = {
-                    origin: {"horizon": horizon,
-                             "staleness": max(0.0, now - horizon)}
-                    for origin, horizon in sorted(view.horizons.items())}
+            payload.update(view.info(view.now(), self.refresh_interval))
         payload.update(self.info_extra)
         return payload

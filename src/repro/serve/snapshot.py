@@ -1,16 +1,21 @@
 """Atomic fairshare snapshots for the serve plane.
 
 Every FCS refresh publishes one :class:`FairshareSnapshot`: an immutable,
-read-optimized view of the refresh result (projected values, name index,
-policy epoch, publish sequence number, computation timestamp).  Readers in
-other threads pick up the *current* snapshot with a single attribute read —
-publication is one reference assignment, so a reader observes either the
-whole previous refresh or the whole new one, never a mix.  A batch of
-queries resolves the snapshot once and serves every key from it, which is
-what makes torn batches impossible by construction.
+read-optimized view of the refresh result (projected values, identity
+table, policy epoch, publish sequence number, computation timestamp).
+Readers in other threads pick up the *current* snapshot with a single
+attribute read — publication is one reference assignment, so a reader
+observes either the whole previous refresh or the whole new one, never a
+mix.  A batch of queries resolves the snapshot once and serves every key
+from it, which is what makes torn batches impossible by construction.
 
 The store never blocks readers and the publisher never waits for readers:
 old snapshots stay alive for exactly as long as someone holds a reference.
+
+Both epoch types — this in-process snapshot and the shared-memory
+:class:`~repro.serve.shm.ShmEpochView` — serve one read surface,
+:class:`EpochReads`, written once over a per-type identity table
+(``rows.get``) and values array (``values_vec``).
 """
 
 from __future__ import annotations
@@ -21,149 +26,93 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.vector import FairshareVector
 from .protocol import ERR_NOT_A_LEAF, ERR_UNKNOWN_USER, NO_LEAF_ID
 
 if TYPE_CHECKING:
     from ..core.flat import FlatFairshare
-    from ..core.vector import FairshareVector
     from ..services.fcs import FairshareCalculationService
 
-__all__ = ["FairshareSnapshot", "SnapshotStore", "snapshot_from_fcs"]
+__all__ = ["EpochReads", "FairshareSnapshot", "SnapshotStore",
+           "snapshot_from_fcs", "staleness_verdict"]
 
 
-@dataclass(frozen=True)
-class FairshareSnapshot:
-    """One refresh worth of servable fairshare state.
+def staleness_verdict(age: float, refresh_interval: float) -> str:
+    """Coarse freshness verdict against the refresh cadence.
 
-    ``values`` and ``by_name`` are read-only mapping views over the FCS's
-    internal dicts; the FCS replaces those dicts wholesale on every
-    recomputation (it never mutates them in place), so a snapshot taken at
-    publish time stays internally consistent forever.  ``identity_map`` is
-    a point-in-time copy (it is the one FCS table that mutates in place).
+    ``"fresh"`` within one refresh interval, ``"stale"`` within three,
+    ``"dead"`` beyond that (the refresh loop has almost certainly stopped).
+    """
+    if age <= refresh_interval:
+        return "fresh"
+    if age <= 3 * refresh_interval:
+        return "stale"
+    return "dead"
+
+
+class EpochReads:
+    """The read surface of one published epoch, whichever backend holds it.
+
+    A subclass provides ``rows`` (the FCS identity table: anything with
+    ``get(identity) -> row or None``), ``values_vec`` (projected values by
+    leaf row), :meth:`vector_elements`, and the scalars ``seq``, ``site``,
+    ``epoch``, ``projection``, ``resolution``, ``computed_at``,
+    ``unknown_user_value`` and ``horizons``.  A row at or past the leaf
+    count is an internal node: known to the table, but no leaf.
     """
 
-    site: str
-    #: monotonically increasing publish number (the FCS refresh counter)
-    seq: int
-    #: policy epoch the refresh was computed against
-    epoch: Any
-    #: virtual-clock time of the refresh
-    computed_at: float
-    projection: str
-    resolution: int
-    unknown_user_value: float
-    values: Mapping[str, float]
-    by_name: Mapping[str, str]
-    identity_map: Mapping[str, str] = field(default_factory=dict)
-    #: the array-backed refresh result, for vector queries (leaf paths only)
-    result: Optional["FlatFairshare"] = None
-    #: per-origin usage horizons (virtual time) incorporated by ``values``
-    #: — the freshness contract of this snapshot (DESIGN.md §10)
-    horizons: Mapping[str, float] = field(default_factory=dict)
-    #: projected values as a float64 array aligned with
-    #: ``result.leaf_paths`` (the shared-memory publisher's payload)
-    values_vec: Optional[Any] = None
-    #: leaf-table generation — bumps when the policy recompiles and leaf
-    #: row numbers may change; tags binary-protocol leaf ids
-    leaf_gen: int = 0
-
-    # -- queries ------------------------------------------------------------
-
-    def resolve_path(self, identity: str) -> Optional[str]:
-        identity = self.identity_map.get(identity, identity)
-        if identity.startswith("/") and identity in self.values:
-            return identity
-        return self.by_name.get(identity)
+    __slots__ = ()
 
     def lookup(self, identity: str) -> Tuple[float, bool]:
-        """Projected value and whether the identity is actually known."""
-        path = self.resolve_path(identity)
-        if path is None:
-            return self.unknown_user_value, False
-        value = self.values.get(path)
-        if value is None:
-            return self.unknown_user_value, False
-        return value, True
-
-    def fairshare_value(self, identity: str) -> float:
-        return self.lookup(identity)[0]
-
-    def vector(self, identity: str) -> Optional["FairshareVector"]:
-        """Leaf fairshare vector, or None for unknown/non-leaf identities."""
-        if self.result is None:
-            return None
-        path = self.resolve_path(identity)
-        if path is None or path not in self.result.flat.leaf_slot:
-            return None
-        return self.result.vector(path)
-
-    # -- binary-protocol surface (shared with ShmEpochView) -----------------
-
-    def stamp(self) -> int:
-        """Seqlock stamp: immutable snapshots are trivially stable (the
-        shared-memory epoch views give this method real teeth)."""
-        return 0
-
-    def still(self, stamp: int) -> bool:
-        return True
+        """Projected value and whether the identity names a leaf."""
+        return self.resolve_leaf(identity)[:2]
 
     def resolve_leaf(self, identity: str) -> Tuple[float, bool, int]:
         """(value, known, leaf id) — the binary GET_FAIRSHARE triple.
 
-        The leaf id is the identity's row in ``result.leaf_paths`` (valid
-        for this snapshot's ``leaf_gen``), or :data:`NO_LEAF_ID` when the
-        identity is unknown or has no stable row.
+        The leaf id is the identity's row (valid for this epoch's
+        ``leaf_gen``), or :data:`NO_LEAF_ID` when the identity names no
+        leaf.
         """
-        path = self.resolve_path(identity)
-        if path is None:
+        row = self.rows.get(identity)
+        vec = self.values_vec
+        if row is None or row >= len(vec):
             return self.unknown_user_value, False, NO_LEAF_ID
-        value = self.values.get(path)
-        if value is None:
-            return self.unknown_user_value, False, NO_LEAF_ID
-        row = self.result.flat.leaf_slot.get(path) \
-            if self.result is not None else None
-        return value, True, row if row is not None else NO_LEAF_ID
+        return float(vec[row]), True, row
 
     def lookup_id(self, leaf_id: int) -> Optional[float]:
         """Projected value by leaf row (binary by-id fast path)."""
         vec = self.values_vec
-        if vec is None or not (0 <= leaf_id < len(vec)):
-            return None
-        return float(vec[leaf_id])
+        if 0 <= leaf_id < len(vec):
+            return float(vec[leaf_id])
+        return None
 
-    def vector_elements(self, leaf_id: int) -> Optional[List[float]]:
-        if self.result is None:
-            return None
-        depths = self.result.leaf_depths
-        if not (0 <= leaf_id < len(depths)):
-            return None
-        matrix = self.result.element_matrix()
-        return matrix[leaf_id, :int(depths[leaf_id])].tolist()
-
-    def values_for_ids(self, ids: "np.ndarray"
-                       ) -> Tuple["np.ndarray", "np.ndarray"]:
+    def values_for_ids(self, ids: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
         """(values, known) arrays for a batch of leaf rows."""
         vec = self.values_vec
-        if vec is None or len(vec) == 0:
-            n = len(ids)
-            return (np.full(n, self.unknown_user_value),
-                    np.zeros(n, dtype=bool))
-        known = (ids >= 0) & (ids < len(vec))
-        values = np.where(known, vec[np.clip(ids, 0, len(vec) - 1)],
+        n = len(vec)
+        if n == 0:
+            return (np.full(len(ids), self.unknown_user_value),
+                    np.zeros(len(ids), dtype=bool))
+        known = (ids >= 0) & (ids < n)
+        values = np.where(known, vec[np.clip(ids, 0, n - 1)],
                           self.unknown_user_value)
         return values, known
 
+    def vector(self, identity: str) -> Optional[FairshareVector]:
+        """Leaf fairshare vector, or None for unknown/non-leaf identities."""
+        _, known, row = self.resolve_leaf(identity)
+        if not known:
+            return None
+        return FairshareVector(self.vector_elements(row), self.resolution)
+
     def vector_error_code(self, identity: str) -> str:
-        """Why :meth:`vector` answered None: NOT_A_LEAF for resolvable
-        internal nodes, UNKNOWN_USER otherwise."""
-        if self.result is not None:
-            path = self.identity_map.get(identity, identity)
-            flat = self.result.flat
-            if self.resolve_path(identity) or (
-                    path in flat.path_index
-                    and path not in flat.leaf_slot):
-                return ERR_NOT_A_LEAF
-        return ERR_UNKNOWN_USER
+        """Why :meth:`vector` answered None: NOT_A_LEAF for an internal
+        node (or an alias of one), UNKNOWN_USER for anything unresolvable."""
+        if self.rows.get(identity) is None:
+            return ERR_UNKNOWN_USER
+        return ERR_NOT_A_LEAF
 
     def age(self, now: float) -> float:
         return max(0.0, now - self.computed_at)
@@ -183,9 +132,83 @@ class FairshareSnapshot:
             else self.epoch,
             "computed_at": self.computed_at,
             "projection": self.projection,
-            "users": len(self.values),
+            "users": len(self.values_vec),
             "origins": len(self.horizons),
         }
+
+    def info(self, now: float, refresh_interval: float) -> Dict[str, Any]:
+        """The INFO reply's snapshot fields, as of ``now``."""
+        age = self.age(now)
+        payload: Dict[str, Any] = {
+            "snapshot": self.describe(),
+            "snapshot_age": age,
+            "staleness": staleness_verdict(age, refresh_interval),
+        }
+        if self.horizons:
+            # per-origin freshness: the usage horizon the served values
+            # incorporate, and how far behind "now" that is
+            payload["usage_horizons"] = {
+                origin: {"horizon": horizon,
+                         "staleness": max(0.0, now - horizon)}
+                for origin, horizon in sorted(self.horizons.items())}
+        return payload
+
+
+@dataclass(frozen=True)
+class FairshareSnapshot(EpochReads):
+    """One refresh worth of servable fairshare state.
+
+    ``values`` is a read-only view and ``rows`` the FCS's identity table;
+    the FCS replaces both wholesale (it never mutates them in place), so a
+    snapshot taken at publish time stays internally consistent forever —
+    an alias registered later is not in it.
+    """
+
+    site: str
+    #: monotonically increasing publish number (the FCS refresh counter)
+    seq: int
+    #: policy epoch the refresh was computed against
+    epoch: Any
+    #: virtual-clock time of the refresh
+    computed_at: float
+    projection: str
+    resolution: int
+    unknown_user_value: float
+    #: leaf path -> projected value (a view over ``values_vec``)
+    values: Mapping[str, float]
+    #: identity -> leaf row (:meth:`FairshareCalculationService.identity_table`)
+    rows: Mapping[str, int]
+    #: the array-backed refresh result, for vector queries
+    result: "FlatFairshare"
+    #: projected values as a float64 array aligned with
+    #: ``result.leaf_paths`` (the shared-memory publisher's payload)
+    values_vec: np.ndarray
+    #: per-origin usage horizons (virtual time) incorporated by ``values``
+    #: — the freshness contract of this snapshot (DESIGN.md §10)
+    horizons: Mapping[str, float] = field(default_factory=dict)
+    #: leaf-table generation — bumps when the policy recompiles and leaf
+    #: row numbers may change; tags binary-protocol leaf ids
+    leaf_gen: int = 0
+
+    def fairshare_value(self, identity: str) -> float:
+        return self.lookup(identity)[0]
+
+    # -- seqlock surface (shared with ShmEpochView) --------------------------
+
+    def stamp(self) -> int:
+        """Seqlock stamp: immutable snapshots are trivially stable (the
+        shared-memory epoch views give this method real teeth)."""
+        return 0
+
+    def still(self, stamp: int) -> bool:
+        return True
+
+    def vector_elements(self, leaf_id: int) -> Optional[List[float]]:
+        depths = self.result.leaf_depths
+        if not (0 <= leaf_id < len(depths)):
+            return None
+        matrix = self.result.element_matrix()
+        return matrix[leaf_id, :int(depths[leaf_id])].tolist()
 
 
 def snapshot_from_fcs(fcs: "FairshareCalculationService") -> FairshareSnapshot:
@@ -199,11 +222,10 @@ def snapshot_from_fcs(fcs: "FairshareCalculationService") -> FairshareSnapshot:
         resolution=fcs.parameters.resolution,
         unknown_user_value=fcs.unknown_user_value,
         values=fcs.values_view(),
-        by_name=fcs.names_view(),
-        identity_map=dict(fcs.identity_map),
+        rows=fcs.identity_table(),
         result=fcs.flat_result(),
-        horizons=fcs.usage_horizons(),
         values_vec=fcs.values_array(),
+        horizons=fcs.usage_horizons(),
         leaf_gen=fcs.leaf_generation,
     )
 
@@ -241,30 +263,18 @@ class SnapshotStore:
         return self._current
 
     def age(self, now: float) -> Optional[float]:
-        """Seconds since the current snapshot was computed (None if none).
-
-        The single source of truth for snapshot age: INFO replies, the
-        METRICS gauge, and ``aequus probe`` all derive from this.
-        """
+        """Seconds since the current snapshot was computed (None if none)."""
         snap = self._current
         return snap.age(now) if snap is not None else None
 
     def staleness(self, now: float,
                   refresh_interval: float) -> Optional[str]:
-        """Coarse freshness verdict against the refresh cadence.
-
-        ``"fresh"`` within one refresh interval, ``"stale"`` within three,
-        ``"dead"`` beyond that (the refresh loop has almost certainly
-        stopped); None before the first publication.
-        """
+        """:func:`staleness_verdict` of the current snapshot's age; None
+        before the first publication."""
         age = self.age(now)
         if age is None:
             return None
-        if age <= refresh_interval:
-            return "fresh"
-        if age <= 3 * refresh_interval:
-            return "stale"
-        return "dead"
+        return staleness_verdict(age, refresh_interval)
 
     def wait_for_seq(self, seq: int, timeout: Optional[float] = None) -> bool:
         """Block until a snapshot with ``seq >= seq`` is published."""

@@ -67,6 +67,11 @@ __all__ = ["FairshareCalculationService"]
 
 logger = logging.getLogger(__name__)
 
+#: the identity table's row for an internal-node path.  It is no leaf row,
+#: fits the shm key table's u32 ids, and is at least any leaf count, so
+#: ``row < n_leaves`` is the one "names a leaf" test every reader makes.
+NODE_ROW = 0xFFFFFFFF
+
 
 class FairshareCalculationService:
     """Periodic fairshare pre-computation and constant-time value lookup."""
@@ -166,7 +171,12 @@ class FairshareCalculationService:
         self._usage_version = 0
         #: base usage per compiled leaf row (None until first compile)
         self._leaf_base: Optional[np.ndarray] = None
-        self._by_name: Dict[str, str] = {}
+        #: the identity table (see :meth:`identity_table`) and the
+        #: (leaf generation, alias version) it was built at
+        self._table: Dict[str, int] = {}
+        self._table_key: Optional[Tuple[int, int]] = None
+        #: bumps on every :meth:`register_identity`
+        self._alias_version = 0
         self._computed_at: float = engine.now
         #: per-origin usage horizons incorporated by the served values
         #: (the UMS's refresh-time capture, inherited on every refresh)
@@ -290,7 +300,7 @@ class FairshareCalculationService:
         dirty_rows: List[int] = []
         if not full_compute and changed_keys:
             for key in changed_keys:
-                row = self._leaf_row(key)
+                row = self._flat.leaf_row(key)
                 if row is not None:
                     self._leaf_base[row] = self._fold.get(key, 0.0)
                     dirty_rows.append(row)
@@ -329,7 +339,6 @@ class FairshareCalculationService:
                                         self._values_vec)
             if timed:
                 self._phase_hist["project"].observe(time.perf_counter() - t0)
-        self._by_name = self._flat.by_name
         self._refresh_key = refresh_key
         self._computed_at = self.engine.now
         self._capture_horizons()
@@ -372,14 +381,6 @@ class FairshareCalculationService:
             touched_nodes=result.touched_nodes)
 
     # -- incremental usage fold ---------------------------------------------
-
-    def _leaf_row(self, key: str) -> Optional[int]:
-        """Leaf row a folded usage key lands on (None when unknown)."""
-        flat = self._flat
-        path = key if key.startswith("/") else flat.by_name.get(key)
-        if path is None:
-            return None
-        return flat.leaf_slot.get(path)
 
     def _update_fold(self) -> Optional[set]:
         """Drain the UMS totals cursor into the alias-folded usage state.
@@ -524,17 +525,55 @@ class FairshareCalculationService:
 
     def register_identity(self, identity: str, leaf: str) -> None:
         """Alias an external grid identity (e.g. an X.509 DN, which cannot
-        be a tree node name) to a policy leaf name or path."""
+        be a tree node name) to a policy leaf name or path.
+
+        The alias resolves on the next read: :meth:`lookup` answers it at
+        once, a snapshot published from now on carries it, and the usage
+        recorded under it folds onto the target from the next refresh.
+        """
         self.identity_map[identity] = leaf
+        self._alias_version += 1
         # the alias fold is keyed by the map: rebuild it on the next refresh
         self._fold_invalid = True
 
-    def _resolve_path(self, identity: str) -> Optional[str]:
-        identity = self.identity_map.get(identity, identity)
-        if identity.startswith("/") and self._flat is not None \
-                and identity in self._flat.path_index:
-            return identity
-        return self._by_name.get(identity)
+    def identity_table(self) -> Mapping[str, int]:
+        """Every resolvable identity -> its leaf row: the one identity rule.
+
+        Identities are leaf paths, bare leaf names (the first leaf in
+        pre-order wins), internal-node paths (row :data:`NODE_ROW`) and
+        :attr:`identity_map` aliases.  An alias wins over a same-named
+        path or name and resolves its target as a path or bare name, never
+        through another alias; an alias whose target names nothing shadows
+        a same-named leaf.
+
+        Rows move only when :attr:`leaf_generation` does, and aliases only
+        with :meth:`register_identity`, so the table is rebuilt lazily on
+        the first read after either and reused otherwise.  It is replaced
+        wholesale, never mutated: a snapshot holding it stays consistent,
+        and the shm writer tells a new table from an old one by identity.
+        """
+        key = (self.leaf_generation, self._alias_version)
+        if key != self._table_key:
+            flat = self._flat
+            rows = dict.fromkeys(flat.path_index, NODE_ROW)
+            rows.update(flat.leaf_slot)
+            for name, path in flat.by_name.items():
+                rows[name] = flat.leaf_slot[path]
+            targets = {alias: rows.get(target)
+                       for alias, target in self.identity_map.items()}
+            for alias, row in targets.items():
+                if row is None:
+                    rows.pop(alias, None)
+                else:
+                    rows[alias] = row
+            self._table = rows
+            self._table_key = key
+        return self._table
+
+    def _row_of(self, identity: str) -> Optional[int]:
+        """The identity's leaf row, or None for unknown and internal nodes."""
+        row = self.identity_table().get(identity)
+        return row if row is not None and row < self._flat.n_leaves else None
 
     def lookup(self, identity: str) -> Tuple[float, bool]:
         """Projected value plus whether the identity is actually known.
@@ -544,13 +583,10 @@ class FairshareCalculationService:
         lookups (libaequus cache stats, the serve plane's UNKNOWN_USER
         replies) use this instead of :meth:`fairshare_value`.
         """
-        path = self._resolve_path(identity)
-        if path is None:
+        row = self._row_of(identity)
+        if row is None:
             return self.unknown_user_value, False
-        value = self._values.get(path)
-        if value is None:
-            return self.unknown_user_value, False
-        return value, True
+        return float(self._values_vec[row]), True
 
     def fairshare_value(self, identity: str) -> float:
         """Projected scalar in [0, 1] for a grid identity (leaf path or name)."""
@@ -558,16 +594,18 @@ class FairshareCalculationService:
 
     def priority(self, identity: str) -> float:
         """The leaf-node fairshare priority (k·abs + (1−k)·rel)."""
-        path = self._resolve_path(identity)
-        if path is None or self._result is None:
+        row = self._row_of(identity)
+        if row is None:
             return self.unknown_user_value
-        return self._result.node_priority(path)
+        return float(self._result.priority[self._flat.leaf_index[row]])
 
     def vector(self, identity: str) -> Optional[FairshareVector]:
-        path = self._resolve_path(identity)
-        if path is None or self._result is None:
+        """The leaf's fairshare vector (None for unknown and internal
+        nodes)."""
+        row = self._row_of(identity)
+        if row is None:
             return None
-        return self._result.vector(path)
+        return self._result.vector(self._flat.leaf_paths[row])
 
     def values(self) -> Dict[str, float]:
         """All users' projected values (leaf path -> value)."""
@@ -596,10 +634,6 @@ class FairshareCalculationService:
         instead of walking the per-user dict.
         """
         return self._values_vec
-
-    def names_view(self) -> Mapping[str, str]:
-        """Read-only view of the bare-name -> leaf-path index."""
-        return MappingProxyType(self._by_name)
 
     @property
     def snapshot_epoch(self):

@@ -15,6 +15,8 @@ from repro.serve.client import AequusClient, SyncAequusClient
 from repro.serve.protocol import (BIN_HEADER, BIN_REQ_MAGIC, HEADER,
                                   decode_payload)
 from repro.serve.server import AequusServer, ServerThread
+from repro.serve.shm import ShmSnapshotWriter
+from repro.serve.workers import WorkerPool
 from repro.services.network import Network
 from repro.services.site import AequusSite, SiteConfig
 from repro.sim.engine import SimulationEngine
@@ -52,6 +54,19 @@ def served(small_site):
     thread = ServerThread(AequusServer(backend)).start()
     yield engine, site, thread
     thread.stop()
+
+
+@pytest.fixture
+def one_worker(small_site):
+    """The small site served by a one-worker pool over shared memory."""
+    _, site = small_site
+    writer = ShmSnapshotWriter(site.name)
+    writer.attach_fcs(site.fcs, irs=site.irs)
+    pool = WorkerPool(writer.name, 1, site=site.name).start()
+    assert pool.wait_ready(15.0)
+    yield pool
+    pool.stop()
+    writer.close()
 
 
 @pytest.fixture

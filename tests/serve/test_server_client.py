@@ -42,6 +42,15 @@ class TestSingleKeyOps:
             client.get_vector("/hpc")
         assert err.value.code == ERR_NOT_A_LEAF
 
+    def test_vector_for_internal_node_is_not_a_leaf_from_a_worker(
+            self, one_worker):
+        """Both backends classify an internal node through the identity
+        table, so a shm worker answers what the in-process server does."""
+        with SyncAequusClient(port=one_worker.port, timeout=5.0) as client:
+            with pytest.raises(AequusServerError) as err:
+                client.get_vector("/hpc")
+            assert err.value.code == ERR_NOT_A_LEAF
+
     def test_resolve_identity(self, served, client):
         assert client.resolve_identity("sys_alice") == "alice"
 

@@ -18,8 +18,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.usage import UsageRecord
 from repro.serve.shm import (ShmBackend, ShmSnapshotReader,
                              ShmSnapshotWriter, control_name)
+from repro.serve.snapshot import snapshot_from_fcs
 
 
 def _segments(token: str):
@@ -270,4 +272,75 @@ class TestShmBackend:
             assert info["staleness"] in ("fresh", "stale", "dead")
             backend.reader.close()
         finally:
+            writer.close()
+
+
+class TestKeyTableFollowsTheIdentityTable:
+    def test_repointed_alias_is_not_served_from_its_old_target(
+            self, small_site):
+        """Re-pointing an alias leaves the map's size and (on a cached
+        refresh) the values untouched; shm must still follow it."""
+        _, site = small_site
+        fcs = site.fcs
+        dn = "/DC=org/CN=dn"
+        writer = ShmSnapshotWriter(site.name, token="al1")
+        reader = ShmSnapshotReader(writer.name)
+        try:
+            fcs.register_identity(dn, "alice")
+            fcs.refresh()
+            writer.publish(snapshot_from_fcs(fcs))
+            assert reader.lookup(dn)[0] == fcs.fairshare_value("alice")
+            fcs.refresh()  # a refresh nobody publishes
+            fcs.register_identity(dn, "bob")
+            fcs.refresh()
+            assert fcs.last_refresh_hit
+            snap = snapshot_from_fcs(fcs)
+            writer.publish(snap)
+            value, known, view = reader.lookup(dn)
+            assert view.seq == snap.seq == fcs.publishes
+            assert (value, known) == snap.lookup(dn) == fcs.lookup(dn)
+            assert value == fcs.fairshare_value("bob") \
+                != fcs.fairshare_value("alice")
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_values_only_publishes_keep_the_key_table(self, small_site):
+        """The key table is re-encoded only when the FCS replaced it: on a
+        new alias or a structural edit, never because values moved."""
+        engine, site = small_site
+        fcs = site.fcs
+        writer = ShmSnapshotWriter(site.name, token="ke1")
+        reader = ShmSnapshotReader(writer.name)
+
+        def miss_and_publish(user):
+            site.uss.record_job(UsageRecord(user=user, site="a",
+                                            start=engine.now,
+                                            end=engine.now + 60.0))
+            engine.run_until(engine.now + 5.0)  # UMS, then FCS refresh
+            assert not fcs.last_refresh_hit
+            writer.publish(snapshot_from_fcs(fcs))
+            return reader.view()
+
+        try:
+            writer.publish(snapshot_from_fcs(fcs))
+            first = reader.view()
+            assert reader.lookup("alice")[1]
+            for user in ("alice", "bob", "carol", "dave", "alice"):
+                view = miss_and_publish(user)
+                assert view.seq > first.seq
+                assert view.key_epoch == first.key_epoch
+                assert view.rows is first.rows  # the LRU stays warm
+            assert "alice" in first.rows._cache
+            fcs.register_identity("/DC=org/CN=carol", "carol")
+            aliased = miss_and_publish("bob")
+            assert aliased.key_epoch == first.key_epoch + 1
+            assert reader.lookup("/DC=org/CN=carol")[1]
+            site.pds.set_share("/hpc/erin", 1.0)
+            edited = miss_and_publish("alice")
+            assert edited.key_epoch == aliased.key_epoch + 1
+            assert reader.lookup("/hpc/erin")[1]
+            assert miss_and_publish("carol").key_epoch == edited.key_epoch
+        finally:
+            reader.close()
             writer.close()

@@ -1,5 +1,5 @@
-"""Import boundaries: the test oracle stays in the tests, and the deleted
-object-tree kernel stays deleted."""
+"""Import boundaries: the test oracle stays in the tests, the deleted
+object-tree kernel stays deleted, and the identity rule stays in the FCS."""
 
 import ast
 import importlib.util
@@ -11,6 +11,10 @@ SRC = Path(repro.core.__file__).resolve().parents[1]
 
 DELETED_KERNEL = {"FairshareNode", "FairshareTree", "compute_fairshare_tree",
                   "UsageNode", "UsageTree", "build_usage_tree"}
+
+#: the inputs of the identity rule; the serve plane reads its output, the
+#: FCS identity table, and never re-derives it from these
+IDENTITY_INPUTS = {"identity_map", "by_name"}
 
 
 def _imported_modules(path):
@@ -33,3 +37,14 @@ def test_core_exports_no_object_tree_kernel():
     assert not DELETED_KERNEL & set(repro.core.__all__)
     assert not any(hasattr(repro.core, name) for name in DELETED_KERNEL)
     assert importlib.util.find_spec("repro.core.fairshare") is None
+
+
+def test_serve_plane_never_reads_the_identity_rule_inputs():
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno} reads {name}"
+        for path in sorted((SRC / "serve").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in [getattr(node, "attr", None) or getattr(node, "arg", None)
+                     or getattr(node, "id", None)]
+        if name in IDENTITY_INPUTS]
+    assert offenders == []
