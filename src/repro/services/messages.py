@@ -23,12 +23,22 @@ the per-entry structure generic map serializations (SOAP/XML tags in the
 original Java services, JSON keys, protobuf map submessages) pay and
 packed parallel primitive arrays do not.  Only the optional trace context
 is a map; a usage entry costs two integers and a float.
+
+The grid frame (:mod:`repro.grid.wire`, DESIGN.md §13) is this model
+made concrete: an entry is a ``u32`` user index, an ``i32`` bin and an
+``f64`` charge in packed little-endian columns (16 bytes, as priced); a
+user name is its UTF-8 bytes plus one NUL separator (the model's 2-byte
+prefix, less one); only the scalar fields and the trace context travel
+as a small JSON header.  A delta of any size therefore frames within a
+few hundred bytes of its modelled size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
+
+import numpy as np
 
 __all__ = ["UsageDeltaMessage", "UsageResyncRequest", "PolicyExportMessage"]
 
@@ -58,7 +68,11 @@ def _tctx_bytes(tctx: Optional[Dict[str, Any]]) -> int:
                for k, v in tctx.items())
 
 
-@dataclass(frozen=True)
+#: the packed entry columns of a delta (the rest are scalar fields)
+DELTA_COLUMNS = ("user_idx", "bin_idx", "charges")
+
+
+@dataclass(frozen=True, eq=False)
 class UsageDeltaMessage:
     """Changed (user, bin) entries since the sender's previous publish.
 
@@ -74,6 +88,11 @@ class UsageDeltaMessage:
     (first publish, or a resync reply): the receiver drops entries not
     listed and may apply it regardless of gaps.
 
+    The columns are sequences: typed NumPy arrays when the USS builds or
+    the grid decodes a message (``uint32`` user indexes, ``int32`` bins,
+    ``float64`` charges), plain lists when a test builds one by hand.
+    Equality compares them by value, so the two forms compare equal.
+
     ``horizon`` is the origin usage watermark (see DESIGN.md §10): every
     local usage event at the sender up to that virtual time is reflected
     in the receiver's copy once this message is applied.  Heartbeats carry
@@ -86,10 +105,10 @@ class UsageDeltaMessage:
     interval: float
     seq: int
     full: bool
-    user_table: List[str] = field(default_factory=list)
-    user_idx: List[int] = field(default_factory=list)
-    bin_idx: List[int] = field(default_factory=list)
-    charges: List[float] = field(default_factory=list)
+    user_table: Sequence[str] = field(default_factory=list)
+    user_idx: Sequence[int] = field(default_factory=list)
+    bin_idx: Sequence[int] = field(default_factory=list)
+    charges: Sequence[float] = field(default_factory=list)
     horizon: Optional[float] = None
     #: sender *incarnation* id, fixed for one USS lifetime.  A receiver
     #: that sees the id change knows the peer restarted and its sequence
@@ -110,6 +129,17 @@ class UsageDeltaMessage:
     def usage_horizon(self) -> float:
         return self.sent_at if self.horizon is None else self.horizon
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not UsageDeltaMessage:
+            return NotImplemented
+        return (all(getattr(self, name) == getattr(other, name)
+                    for name in self.__dataclass_fields__
+                    if name not in DELTA_COLUMNS and name != "user_table")
+                and list(self.user_table) == list(other.user_table)
+                and all(np.array_equal(np.asarray(getattr(self, name)),
+                                       np.asarray(getattr(other, name)))
+                        for name in DELTA_COLUMNS))
+
     def total_charge(self) -> float:
         return sum(self.charges)
 
@@ -120,7 +150,8 @@ class UsageDeltaMessage:
         return (_ENVELOPE + _str_bytes(self.site) + 3 * _FLOAT + _INT + _FLAG
                 + (_str_bytes(self.boot) if self.boot else 0)
                 + _tctx_bytes(self.tctx)
-                + sum(_str_bytes(u) for u in self.user_table)
+                + 2 * len(self.user_table)
+                + len("".join(self.user_table).encode("utf-8"))
                 + len(self.charges) * (2 * _INT + _FLOAT))
 
 

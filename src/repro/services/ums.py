@@ -16,7 +16,7 @@ bin midpoint still lies in the future of the previous refresh (the ages
 were clamped at zero) stay in a "young" set and are recomputed until the
 midpoint has passed, keeping the shift exact.
 
-The full merge-and-decay pass (:meth:`_full_refresh`) runs on the priming
+The full decay pass (:meth:`_full_refresh`) runs on the priming
 refresh and, for decay families whose weights are not multiplicative in
 age (linear, window, step), on every refresh — read off the decay function
 (:attr:`incremental`), not configured.  Priming is also the test oracle: a
@@ -26,9 +26,10 @@ The analytic shift is applied as one *global scale scalar* (DESIGN.md
 §12), not a per-user multiply: cached totals are stored as
 scale-invariant bases with ``served = base * scale``, and an idle refresh
 advances every user at once by ``scale *= factor`` — O(1) instead of
-O(users).  Dirty users are recomputed in a single vectorized 2-D pass
-per histogram (:meth:`~repro.core.usage.UsageHistogram.
-decayed_totals_batch`).  Downstream consumers that want to avoid their
+O(users).  Dirty users are recomputed from the histograms' columns, one
+vector pass per histogram (:meth:`~repro.core.usage.UsageHistogram.
+user_stats`) whose cost follows the dirty users' entries, not the
+histogram.  Downstream consumers that want to avoid their
 own O(users) pass read the base totals directly (:meth:`usage_totals_
 base` + :meth:`usage_scale`) and subscribe to a **totals cursor**
 (:meth:`register_totals_cursor`) that reports exactly which users' base
@@ -47,8 +48,11 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
+from itertools import compress
 from types import MappingProxyType
 from typing import Deque, Dict, List, Mapping, Optional, Set
+
+import numpy as np
 
 from ..core.decay import DecayFunction, ExponentialDecay, NoDecay
 from ..obs import trace
@@ -113,8 +117,6 @@ class UsageMonitoringService:
         #: downstream totals cursors: id -> (full-resync flag, dirty users)
         self._totals_cursors: Dict[int, List] = {}
         self._totals_cursor_ids = itertools.count(1)
-        #: newest bin midpoint per cached user (staleness of the age shift)
-        self._max_mid: Dict[str, float] = {}
         #: users recomputed while their newest midpoint was still ahead
         self._young: Set[str] = set()
         self._primed = False
@@ -175,11 +177,10 @@ class UsageMonitoringService:
             self._refresh_hist.observe(time.perf_counter() - t0)
 
     def _full_refresh(self, now: float) -> None:
-        """Merge every histogram and re-decay every user."""
+        """Re-decay every user of every histogram and sum per user."""
         totals: Dict[str, float] = {}
-        for uss in self.sources:
-            merged = uss.global_usage(include_remote=self.consider_remote)
-            for user, value in merged.decayed_totals(now, self.decay).items():
+        for hist in self._histograms():
+            for user, value in hist.decayed_totals(now, self.decay).items():
                 totals[user] = totals.get(user, 0.0) + value
         self._totals = totals
         self._scale = 1.0
@@ -189,14 +190,9 @@ class UsageMonitoringService:
         self._metrics["full_refreshes"].inc()
         if self.incremental:
             # seed the age-shift bookkeeping for subsequent delta refreshes
-            mids: Dict[str, float] = {}
-            for uss in self.sources:
-                for user, m in uss.newest_user_midpoints(
-                        self.consider_remote).items():
-                    if m > mids.get(user, float("-inf")):
-                        mids[user] = m
-            self._max_mid = mids
-            self._young = {u for u, m in mids.items() if m > now}
+            self._young = {u for hist in self._histograms()
+                           for u, m in hist.newest_midpoints().items()
+                           if m > now}
             self._primed = True
 
     def _incremental_refresh(self, now: float, dirty: Set[str]) -> None:
@@ -206,41 +202,41 @@ class UsageMonitoringService:
         if self._scale < self.SCALE_FLOOR:
             self._renormalize_scale()
         recompute = dirty | self._young
-        self._metrics["users_shifted"].inc(
-            len(self._totals) - len(recompute & self._totals.keys()))
+        cached = self._totals
         if not recompute:
+            self._metrics["users_shifted"].inc(len(cached))
             return
-        self._young = set()
         self._metrics["users_recomputed"].inc(len(recompute))
         users = list(recompute)
-        totals: Dict[str, float] = {}
-        mids: Dict[str, float] = {}
-        for uss in self.sources:
-            for user, t in uss.decayed_user_totals(
-                    users, now, self.decay, self.consider_remote).items():
-                totals[user] = totals.get(user, 0.0) + t
-            for user, m in uss.newest_user_midpoints_for(
-                    users, self.consider_remote).items():
-                if m > mids.get(user, float("-inf")):
-                    mids[user] = m
-        for user in users:
-            total = totals.get(user)
-            if total is None:
-                # pruned/deleted everywhere: drop, as a full merge would
-                if self._totals.pop(user, None) is not None:
-                    self._mark_totals_dirty(user)
-                self._max_mid.pop(user, None)
-                continue
-            base = total / self._scale
-            if self._totals.get(user) != base:
-                self._totals[user] = base
-                self._mark_totals_dirty(user)
-            max_mid = mids.get(user, float("-inf"))
-            self._max_mid[user] = max_mid
-            if max_mid > now:
-                # the newest bin's age is still clamped at zero; keep
-                # recomputing until the midpoint passes, then shift freely
-                self._young.add(user)
+        n = len(users)
+        present = np.zeros(n, dtype=bool)
+        totals = np.zeros(n)
+        newest = np.full(n, -np.inf)
+        for hist in self._histograms():
+            held, total, mid = hist.user_stats(users, now, self.decay)
+            present |= held
+            totals += total
+            np.maximum(newest, mid, out=newest)
+        bases = totals / self._scale
+        old = np.fromiter((cached.get(u, np.nan) for u in users),
+                          dtype=np.float64, count=n)
+        self._metrics["users_shifted"].inc(
+            len(cached) - int(np.count_nonzero(~np.isnan(old))))
+        # pruned/deleted everywhere: drop, as a full merge would
+        dropped = [u for u in compress(users, (~present).tolist())
+                   if cached.pop(u, None) is not None]
+        moved = present & (bases != old)  # an uncached user reads NaN
+        changed = list(compress(users, moved.tolist()))
+        cached.update(zip(changed, bases[moved].tolist()))
+        self._mark_totals_dirty(changed + dropped)
+        # a user whose newest bin's age is still clamped at zero keeps
+        # being recomputed until the midpoint passes, then shifts freely
+        self._young = set(compress(users, (newest > now).tolist()))
+
+    def _histograms(self):
+        """Every histogram the totals are summed over, local ones first."""
+        return [hist for uss in self.sources
+                for hist in uss.histograms(self.consider_remote)]
 
     def _renormalize_scale(self) -> None:
         """Fold the scale back into the bases (rare: ~every 2**40 of decay).
@@ -256,10 +252,10 @@ class UsageMonitoringService:
             state[0] = True
             state[1].clear()
 
-    def _mark_totals_dirty(self, user: str) -> None:
+    def _mark_totals_dirty(self, users: List[str]) -> None:
         for state in self._totals_cursors.values():
             if not state[0]:
-                state[1].add(user)
+                state[1].update(users)
 
     def _capture_horizons(self) -> None:
         """Freeze the sources' usage horizons alongside the totals.

@@ -44,9 +44,8 @@ import os
 import time
 import uuid
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set
+from typing import Any, Deque, Dict, List, Optional, Set
 
-from ..core.decay import DecayFunction
 from ..core.usage import UsageHistogram, UsageRecord
 from ..obs import trace
 from ..obs.registry import AGE_BUCKETS, MetricsRegistry, metric_property
@@ -291,29 +290,21 @@ class UsageStatisticsService:
         idle) detects the gap from the heartbeat and requests a resync —
         without it, loss followed by silence would never be repaired.
         """
-        dirty = self.local.drain_cursor(self._exchange_cursor)
+        dirty = self.local.drain_cursor_keys(self._exchange_cursor)
         if self._seq == 0:
             self._seq = 1
             return self._full_message()
-        if not dirty:
+        if not len(dirty):
             self._metrics["exchanges_skipped"].inc()
             return UsageDeltaMessage(
                 site=self.site, sent_at=self.engine.now,
                 interval=self.local.interval, seq=self._seq, full=False,
                 horizon=self.engine.now, boot=self.boot_id,
                 tctx=self._make_tctx())
-        user_table: List[str] = []
-        user_idx: List[int] = []
-        bin_idx: List[int] = []
-        charges: List[float] = []
-        for user, bins in dirty.items():
-            ui = len(user_table)
-            user_table.append(user)
-            for b in bins:
-                user_idx.append(ui)
-                bin_idx.append(b)
-                # absolute current value; 0.0 propagates a pruned/deleted bin
-                charges.append(self.local.bin_value(user, b))
+        # absolute current values, gathered in one pass; 0.0 propagates a
+        # pruned/deleted bin
+        user_table, user_idx, bin_idx, charges = \
+            self.local.current_arrays(dirty)
         self._seq += 1
         return UsageDeltaMessage(
             site=self.site, sent_at=self.engine.now,
@@ -388,7 +379,7 @@ class UsageStatisticsService:
     def _on_delta(self, message: UsageDeltaMessage) -> None:
         self._note_boot(message.site, message.boot)
         last = self._recv_seq.get(message.site, 0)
-        heartbeat = not message.full and not message.charges
+        heartbeat = not message.full and not len(message.charges)
         if message.full:
             if message.seq < last:
                 self._metrics["exchanges_stale"].inc()
@@ -475,12 +466,8 @@ class UsageStatisticsService:
 
     def global_usage(self, include_remote: bool = True) -> UsageHistogram:
         """Merged histogram: local plus (optionally) all known remote sites."""
-        merged = UsageHistogram(self.local.interval)
-        merged.merge(self.local)
-        if include_remote:
-            for hist in self.remote.values():
-                merged.merge(hist)
-        return merged
+        return UsageHistogram.merged(self.histograms(include_remote),
+                                     self.local.interval)
 
     def known_sites(self) -> List[str]:
         return sorted([self.site, *self.remote])
@@ -530,7 +517,7 @@ class UsageStatisticsService:
         dirty: Set[str] = set()
         for site, hist_cursor in self._usage_cursors[cursor].items():
             hist = self.local if site == "" else self.remote[site]
-            dirty.update(hist.drain_cursor(hist_cursor))
+            dirty.update(hist.users_of(hist.drain_cursor_keys(hist_cursor)))
         return dirty
 
     def release_usage_cursor(self, cursor: int) -> None:
@@ -543,51 +530,11 @@ class UsageStatisticsService:
             if hist is not None:
                 hist.release_cursor(hist_cursor)
 
-    def decayed_user_totals(self, users: Sequence[str], now: float,
-                            decay: DecayFunction,
-                            include_remote: bool = True) -> Dict[str, float]:
-        """Decayed usage of ``users`` across local (+ remote) histograms,
-        one 2-D pass per histogram.
-
-        Users absent from every tracked histogram are absent from the
-        result — the caller drops them from its cache, matching what a
-        full merge would show.
-        """
-        totals: Dict[str, float] = {}
-        histograms = [self.local]
-        if include_remote:
-            histograms.extend(self.remote.values())
-        for hist in histograms:
-            for user, value in hist.decayed_totals_batch(
-                    users, now, decay).items():
-                totals[user] = totals.get(user, 0.0) + value
-        return totals
-
-    def newest_user_midpoints_for(self, users: Sequence[str],
-                                  include_remote: bool = True
-                                  ) -> Dict[str, float]:
-        """Newest bin midpoints for a subset of users (batched)."""
-        mids: Dict[str, float] = {}
-        histograms = [self.local]
-        if include_remote:
-            histograms.extend(self.remote.values())
-        for hist in histograms:
-            for user in users:
-                m = hist.newest_midpoint(user)
-                if m is not None and m > mids.get(user, float("-inf")):
-                    mids[user] = m
-        return mids
-
-    def newest_user_midpoints(self, include_remote: bool = True) -> Dict[str, float]:
-        """Newest bin midpoint of every known user across tracked
-        histograms, in one pass."""
-        mids = dict(self.local.newest_midpoints())
-        if include_remote:
-            for hist in self.remote.values():
-                for user, m in hist.newest_midpoints().items():
-                    if m > mids.get(user, float("-inf")):
-                        mids[user] = m
-        return mids
+    def histograms(self, include_remote: bool = True) -> List[UsageHistogram]:
+        """The local histogram, then (optionally) every remote copy."""
+        if not include_remote:
+            return [self.local]
+        return [self.local, *self.remote.values()]
 
     def stop(self) -> None:
         if self._task is not None:

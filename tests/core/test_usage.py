@@ -231,7 +231,7 @@ class TestCompactArrays:
             h.add_bin("verylongusername", b, 1.0)
         user_table, user_idx, bin_idx, charges = h.snapshot_arrays()
         assert user_table == ["verylongusername"]
-        assert user_idx == [0] * 5
+        assert user_idx.tolist() == [0] * 5
         assert len(bin_idx) == len(charges) == 5
 
     def test_apply_delta_entries_in_place(self):

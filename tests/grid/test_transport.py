@@ -177,9 +177,8 @@ class TestResilience:
         raised on the engine thread inside ``pump``.  Now the frame dies at
         the wire boundary, is counted once, and leaves the receiver exactly
         where the good frames alone put it."""
-        import json
+        import dataclasses
         import socket
-        import struct
 
         from repro.grid.wire import encode_frame
         from repro.services.network import Network
@@ -193,12 +192,9 @@ class TestResilience:
                 charges=[charge], horizon=horizon, boot="b1")
 
         first, last = good(1, 10.0, 5.0), good(2, 20.0, 15.0)
-        payload = json.dumps({
-            "v": 1, "src": "uss:a", "dst": "uss:b",
-            "type": "UsageDeltaMessage",
-            "data": dict(last.__dict__, user_table=["x"], user_idx=[5],
-                         horizon=99.0)}).encode()
-        bad = struct.pack(">I", len(payload)) + payload
+        # the encoder packs what it is given; the index is the decoder's
+        bad = encode_frame("uss:a", "uss:b", dataclasses.replace(
+            last, user_table=["x"], user_idx=[5], horizon=99.0))
 
         engine = SimulationEngine()
         transport = TcpUssTransport("b").start()

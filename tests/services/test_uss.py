@@ -283,7 +283,8 @@ class TestDeltaProtocol:
         engine.run_until(25.0)
         assert all(type(m) is UsageDeltaMessage for m in inbox)
         assert [m.full for m in inbox] == [True, False, False]
-        assert inbox[0].charges == [pytest.approx(60.0), pytest.approx(40.0)]
+        assert list(inbox[0].charges) == [pytest.approx(60.0),
+                                          pytest.approx(40.0)]
         a._on_message(UsageResyncRequest(site="b", sent_at=25.0, target="a"))
         engine.run_until(26.0)
         reply = inbox[-1]
