@@ -156,10 +156,7 @@ class TestRejection:
     #: well-framed deltas a receiver must never see: each would fault in
     #: ``apply_arrays`` (or poison the histogram, or make the vector apply
     #: depend on entry order) *after* the USS had already advanced its
-    #: sequence and horizon for the origin.  What the v2 layout cannot
-    #: carry at all (a float index, a string charge: ``ENCODER_REFUSES``)
-    #: the encoder refuses; the rest it encodes as given and the decoder
-    #: rejects.
+    #: sequence and horizon for the origin
     INCONSISTENT = {
         "user_idx_outside_table": dict(user_table=["x"], user_idx=[5]),
         "negative_user_idx": dict(user_idx=[-1]),
@@ -201,13 +198,25 @@ class TestRejection:
                                bin_idx=[3, 4], charges=[1.0, 2.0]),
         "nul_in_user": dict(user_table=["u\0v"]),
     }
-    ENCODER_REFUSES = {
+    #: cases the v2 layout has no bytes for: a ``u32``/``i32``/``f64``
+    #: column holds no negative index, float index, string, null or
+    #: 400-digit integer, the table holds only text, and one entry count
+    #: sizes all three columns.  No frame carries them, so the encoder is
+    #: the one place they can be refused.
+    UNREPRESENTABLE = {
         "negative_user_idx", "float_user_idx", "string_user_idx",
         "short_user_idx", "short_bin_idx", "short_charges", "float_bin_idx",
         "string_bin_idx", "huge_bin_idx", "null_bin_idx", "non_string_user",
         "nested_user", "string_charge", "null_charge", "huge_int_charge",
-        "column_not_a_list", "nan_sent_at", "infinite_horizon",
-        "nul_in_user"}
+        "column_not_a_list"}
+    #: cases the encoder refuses to write but a peer can lay by hand: the
+    #: header is JSON, which spells NaN and Infinity, and a name's bytes
+    #: can hold a NUL
+    HAND_LAID = {
+        "nan_sent_at": dict(sent_at=float("nan")),
+        "infinite_horizon": dict(horizon=float("inf")),
+        "nul_in_user": dict(table=b"u\0v"),
+    }
 
     @staticmethod
     def _delta(**overrides):
@@ -221,6 +230,19 @@ class TestRejection:
     def _delta_payload(cls, **overrides):
         return encode_frame("uss:a", "uss:b", cls._delta(**overrides))[4:]
 
+    @staticmethod
+    def _hand_laid_delta(table=b"u", **overrides):
+        """The default one-entry delta laid out by hand, so a header or
+        table the encoder refuses can still reach the decoder."""
+        fields = dict(site="a", sent_at=1.0, interval=60.0, seq=2,
+                      full=False, horizon=1.0, boot="b1", tctx=None)
+        fields.update(overrides)
+        return _payload(_header("UsageDeltaMessage", **fields), table=table,
+                        n_users=1, n_entries=1,
+                        columns=(struct.pack("<d", 1.0)
+                                 + struct.pack("<I", 0)
+                                 + struct.pack("<i", 3)))
+
     def test_consistent_delta_accepted(self):
         _src, _dst, message = decode_frame(self._delta_payload())
         assert message.charges.tolist() == [1.0]
@@ -228,23 +250,29 @@ class TestRejection:
         decode_frame(self._delta_payload(charges=[2]))
         # negative bins are legal: a bin before the epoch
         decode_frame(self._delta_payload(bin_idx=[-3]))
+        # the hand layout of the default delta is accepted as well
+        assert decode_frame(self._hand_laid_delta())[2] == self._delta()
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT))
     def test_inconsistent_delta_rejected(self, case):
-        with pytest.raises(WireError):
-            decode_frame(self._delta_payload(**self.INCONSISTENT[case]))
-
-    @pytest.mark.parametrize("case", sorted(set(INCONSISTENT)
-                                            - ENCODER_REFUSES))
-    def test_decoder_is_the_contract(self, case):
-        """The encoder carries these as given; the decoder alone rejects
-        them, so a peer running any encoder cannot get them applied."""
-        payload = self._delta_payload(**self.INCONSISTENT[case])
+        """The decoder is the contract: every case a frame can carry is
+        rejected on decode, whether the encoder writes it as given or it
+        is laid by hand.  A case no frame can carry is refused where it
+        would be written."""
+        if case in self.UNREPRESENTABLE:
+            with pytest.raises(WireError):
+                encode_frame("uss:a", "uss:b",
+                             self._delta(**self.INCONSISTENT[case]))
+            return
+        if case in self.HAND_LAID:
+            payload = self._hand_laid_delta(**self.HAND_LAID[case])
+        else:
+            payload = self._delta_payload(**self.INCONSISTENT[case])
         with pytest.raises(WireError):
             decode_frame(payload)
 
-    @pytest.mark.parametrize("case", sorted(ENCODER_REFUSES))
-    def test_encoder_refuses_what_the_layout_cannot_carry(self, case):
+    @pytest.mark.parametrize("case", sorted(HAND_LAID))
+    def test_encoder_refuses_what_a_peer_must_lay_by_hand(self, case):
         with pytest.raises(WireError):
             encode_frame("uss:a", "uss:b",
                          self._delta(**self.INCONSISTENT[case]))
