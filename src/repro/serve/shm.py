@@ -452,16 +452,18 @@ class ShmEpochView(EpochReads):
     :class:`ShmSnapshotReader`, never as a torn value.
     """
 
-    __slots__ = ("_shm", "_lay", "seq", "computed_at", "unknown_user_value",
-                 "leaf_gen", "n_leaves", "max_depth", "resolution",
-                 "n_keys", "key_epoch", "values_vec", "_matrix", "_depths",
-                 "_tail", "rows")
+    __slots__ = ("_shm", "_lay", "_s0", "seq", "computed_at",
+                 "unknown_user_value", "leaf_gen", "n_leaves", "max_depth",
+                 "resolution", "n_keys", "key_epoch", "values_vec",
+                 "_matrix", "_depths", "_tail", "rows")
 
     def __init__(self, shm: shared_memory.SharedMemory, lay: _Layout,
                  keys: "_KeyTable", tail: Dict[str, Any],
-                 meta: Tuple[Any, ...], seq: int):
+                 meta: Tuple[Any, ...], seq: int, s0: int):
         self._shm = shm
         self._lay = lay
+        #: the (even) seqlock value this view's metadata was validated at
+        self._s0 = s0
         (self.computed_at, self.unknown_user_value, self.leaf_gen,
          self.n_leaves, self.max_depth, self.resolution, self.n_keys,
          _blob_len, _tail_len, self.key_epoch) = meta
@@ -478,9 +480,12 @@ class ShmEpochView(EpochReads):
     # -- seqlock -------------------------------------------------------------
 
     def stamp(self) -> Optional[int]:
-        """The buffer's seqlock if stable (even), else None."""
+        """The seqlock value this view was built at, while the buffer still
+        holds it; None once a write is in flight or the buffer has been
+        recycled for a later epoch (its contents are no longer this
+        view's)."""
         (s,) = _U64.unpack_from(self._shm.buf, 0)
-        return s if s % 2 == 0 else None
+        return s if s == self._s0 else None
 
     def still(self, stamp: int) -> bool:
         (s,) = _U64.unpack_from(self._shm.buf, 0)
@@ -707,7 +712,7 @@ class ShmSnapshotReader:
                 oldest = min(k for k in self._key_tables if k != key_epoch)
                 self._key_tables.pop(oldest, None)
             tail = json.loads(tail_raw) if tail_raw else {}
-            return ShmEpochView(shm, lay, keys, tail, meta, dseq)
+            return ShmEpochView(shm, lay, keys, tail, meta, dseq, s0)
         raise RuntimeError("data segment would not stabilize")
 
     def view(self) -> Optional[ShmEpochView]:

@@ -13,14 +13,19 @@ whose age is delay source II/IV in the update-delay analysis.
 The refresh itself runs on the array-backed kernel (:mod:`repro.core.flat`)
 and is **incremental end to end** (DESIGN.md §12):
 
-* *Usage*: the FCS subscribes to the UMS's totals cursor and folds only the
-  users whose base totals changed into its alias-folded usage state; a
-  monotone ``usage_version`` counter bumps exactly when the fold moves, and
-  ``(policy epoch, usage_version)`` is the refresh-cache key.  Pure decay
-  aging moves the UMS's global scale, not the bases; usage shares (and
-  therefore priorities and projected values) are scale-invariant, so an
-  idle site under exponential decay *hits* the refresh cache instead of
-  recomputing every period.
+* *Usage*: a leaf's base usage is the sum of the UMS base totals of every
+  identity that :meth:`FairshareCalculationService.identity_table` maps to
+  that leaf's row, so two spellings of one leaf (a path and a bare name,
+  or an alias beside either) sum.  The FCS subscribes to the UMS's totals
+  cursor and re-sums only the rows a drained user names, from the table's
+  inverse (row -> identities naming it); a resync or a new table refolds
+  every row in one ``bincount``.  A monotone ``usage_version`` counter
+  bumps exactly when some leaf's base moves, and ``(policy epoch,
+  usage_version)`` is the refresh-cache key.  Pure decay aging moves the
+  UMS's global scale, not the bases; usage shares (and therefore
+  priorities and projected values) are scale-invariant, so an idle site
+  under exponential decay *hits* the refresh cache instead of recomputing
+  every period.
 * *Policy*: on an epoch change the FCS asks the policy tree for its edit
   journal since the last compile and splices the compiled arrays
   (:meth:`~repro.core.flat.FlatPolicy.recompile`) instead of recompiling
@@ -30,9 +35,9 @@ and is **incremental end to end** (DESIGN.md §12):
   ``aequus_compile_total{kind=full|incremental|fallback}``.
 * *Compute*: with the layout unchanged, only the dirty leaves' ancestor
   chains and their sibling groups are re-evaluated
-  (:meth:`~repro.core.flat.FlatPolicy.compute_delta`); a changed layout or
-  a fold resync takes the full kernel pass.  The touched-node fraction of
-  each miss is exported as a gauge.
+  (:meth:`~repro.core.flat.FlatPolicy.compute_delta`); a full fold (a
+  changed layout, a new alias or a usage resync) takes the full kernel
+  pass.  The touched-node fraction of each miss is exported as a gauge.
 
 Hits and misses are tracked in
 :attr:`FairshareCalculationService.refresh_stats`.  The full compile and
@@ -40,7 +45,7 @@ full kernel pass are also what a freshly constructed FCS runs on its first
 refresh, so a cold start over the same PDS and UMS is the oracle for the
 incremental paths.  UMS stand-ins (tests, benchmarks) implement the same
 totals-cursor interface; one that always drains ``(True, {})`` gets a full
-refold per refresh.
+fold per refresh.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from __future__ import annotations
 import logging
 import time
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -159,21 +164,23 @@ class FairshareCalculationService:
         self._refresh_key: Optional[tuple] = None
         self._values: Mapping[str, float] = {}
         self._values_vec: Optional["np.ndarray"] = None
-        # -- incremental usage fold ------------------------------------------
+        # -- usage fold: UMS base totals summed onto leaf rows ---------------
         self._ums_cursor: Optional[int] = ums.register_totals_cursor()
-        #: alias-folded scale-invariant usage (policy key -> base total)
-        self._fold: Dict[str, float] = {}
-        #: users currently contributing to each alias-targeted key
-        self._key_users: Dict[str, Set[str]] = {}
-        self._alias_keys: Set[str] = set(self.identity_map.values())
-        self._fold_invalid = True
-        #: monotone usage state counter; bumps exactly when the fold changes
+        #: monotone usage state counter; bumps exactly when a leaf's base
+        #: usage moves
         self._usage_version = 0
-        #: base usage per compiled leaf row (None until first compile)
+        #: base usage per compiled leaf row: the sum of the UMS base totals
+        #: of every identity the table maps to the row (None until the
+        #: first refresh)
         self._leaf_base: Optional[np.ndarray] = None
-        #: the identity table (see :meth:`identity_table`) and the
-        #: (leaf generation, alias version) it was built at
+        #: the identity table :attr:`_leaf_base` was folded through
+        self._fold_table: Optional[Mapping[str, int]] = None
+        #: the identity table (see :meth:`identity_table`), its inverse
+        #: (leaf row -> the identities naming it, CSR) and the (leaf
+        #: generation, alias version) both were built at
         self._table: Dict[str, int] = {}
+        self._row_names: List[str] = []
+        self._row_starts: List[int] = [0]
         self._table_key: Optional[Tuple[int, int]] = None
         #: bumps on every :meth:`register_identity`
         self._alias_version = 0
@@ -218,9 +225,12 @@ class FairshareCalculationService:
 
     def _refresh(self, timed: bool, sp: Optional[Dict] = None) -> None:
         epoch = self.pds.policy_epoch()
-        # fold only the users whose base totals changed; the monotone
-        # version counter stands for the whole usage state in the cache key
-        changed_keys = self._update_fold()
+        # policy first: the usage fold reads the identity table, whose rows
+        # are the compiled layout's.  An unchanged epoch changes nothing.
+        target_dirty = self._update_policy(epoch, timed)
+        # fold only the rows the changed users name; the monotone version
+        # counter stands for the whole usage state in the cache key
+        dirty_rows = self._fold_usage()
         scale = self.ums.usage_scale()
         refresh_key = (epoch, self._usage_version)
         if self._result is not None and refresh_key == self._refresh_key:
@@ -246,69 +256,10 @@ class FairshareCalculationService:
         if sp is not None:
             sp["cache"] = "miss"
 
-        # -- policy: full compile, journal splice, or keep ------------------
-        policy = self.pds.policy()
-        layout_changed = False
-        target_dirty: Optional[np.ndarray] = None
-        if self._flat is None or \
-                getattr(policy, "journal_token", None) != self._flat_token:
-            self._compile_full(policy, epoch, timed, kind="full")
-            layout_changed = True
-        elif epoch != self._flat_epoch:
-            if policy.revision != self._flat_revision:
-                edits = policy.edits_since(self._flat_revision)
-                spliced = None
-                if edits:
-                    with trace.span("fcs.compile", site=self.site):
-                        t0 = time.perf_counter() if timed else 0.0
-                        spliced = self._flat.recompile(policy, edits)
-                        if timed and spliced is not None:
-                            self._phase_hist["compile"].observe(
-                                time.perf_counter() - t0)
-                if edits is None or (edits and spliced is None):
-                    # journal gap, too many edits, structural overflow or a
-                    # bare-name clash: recompile from scratch
-                    self._compile_full(policy, epoch, timed, kind="fallback")
-                    layout_changed = True
-                elif not edits:
-                    # epoch moved without content changes (e.g. an
-                    # identical-subtree mount refresh): everything stands
-                    self._flat_revision = policy.revision
-                    self._flat_epoch = epoch
-                else:
-                    new_flat, info = spliced
-                    self._metrics["compile_incremental"].inc()
-                    self._flat = new_flat
-                    self._flat_revision = policy.revision
-                    self._flat_epoch = epoch
-                    layout_changed = bool(info["layout_changed"])
-                    target_dirty = info.get("target_dirty")
-                    if layout_changed:
-                        # leaf row numbers may have moved: new serve-plane
-                        # generation.  Weight-only splices keep the layout
-                        # and therefore the published leaf ids.
-                        self.leaf_generation += 1
-                        self.name_collisions = new_flat.name_collisions
-            else:
-                self._flat_epoch = epoch
-
-        # -- usage: dense leaf vector, maintained per changed key -----------
-        full_compute = self._result is None or changed_keys is None
-        if layout_changed or changed_keys is None or self._leaf_base is None:
-            self._leaf_base = self._flat.leaf_usage_vector(self._fold)
-            full_compute = True
-        dirty_rows: List[int] = []
-        if not full_compute and changed_keys:
-            for key in changed_keys:
-                row = self._flat.leaf_row(key)
-                if row is not None:
-                    self._leaf_base[row] = self._fold.get(key, 0.0)
-                    dirty_rows.append(row)
-
         # -- compute: full kernel pass or dirty-segment delta ---------------
         with trace.span("fcs.rollup", site=self.site):
             t0 = time.perf_counter() if timed else 0.0
-            if full_compute:
+            if self._result is None or dirty_rows is None:
                 served = self._leaf_base * scale if scale != 1.0 \
                     else self._leaf_base
                 self._result = self._flat.compute(
@@ -318,7 +269,7 @@ class FairshareCalculationService:
                 prev = self._result
                 if scale != self._result_scale:
                     prev = self._rescaled(prev, scale / self._result_scale)
-                rows = np.asarray(sorted(set(dirty_rows)), dtype=np.int64)
+                rows = np.asarray(sorted(dirty_rows), dtype=np.int64)
                 self._result = self._flat.compute_delta(
                     prev, rows, self._leaf_base[rows] * scale,
                     self.parameters, extra_dirty_nodes=target_dirty)
@@ -344,6 +295,55 @@ class FairshareCalculationService:
         self._capture_horizons()
         self._metrics["refreshes"].inc()
         self._notify_listeners()
+
+    def _update_policy(self, epoch: tuple,
+                       timed: bool) -> Optional[np.ndarray]:
+        """Bring the compiled policy to ``epoch``: full compile, journal
+        splice, or keep.  Returns the splice's target-dirty nodes, if any.
+
+        A compile that may move leaf rows bumps :attr:`leaf_generation`,
+        which gives the next :meth:`identity_table` read a new table and
+        so the usage a full fold and the kernel a full pass.
+        """
+        policy = self.pds.policy()
+        if self._flat is None or \
+                getattr(policy, "journal_token", None) != self._flat_token:
+            self._compile_full(policy, epoch, timed, kind="full")
+            return None
+        if epoch == self._flat_epoch:
+            return None
+        self._flat_epoch = epoch
+        if policy.revision == self._flat_revision:
+            return None
+        edits = policy.edits_since(self._flat_revision)
+        spliced = None
+        if edits:
+            with trace.span("fcs.compile", site=self.site):
+                t0 = time.perf_counter() if timed else 0.0
+                spliced = self._flat.recompile(policy, edits)
+                if timed and spliced is not None:
+                    self._phase_hist["compile"].observe(
+                        time.perf_counter() - t0)
+        if edits is None or (edits and spliced is None):
+            # journal gap, too many edits, structural overflow or a
+            # bare-name clash: recompile from scratch
+            self._compile_full(policy, epoch, timed, kind="fallback")
+            return None
+        self._flat_revision = policy.revision
+        if not edits:
+            # epoch moved without content changes (e.g. an identical-subtree
+            # mount refresh): everything stands
+            return None
+        new_flat, info = spliced
+        self._metrics["compile_incremental"].inc()
+        self._flat = new_flat
+        if info["layout_changed"]:
+            # leaf row numbers may have moved: new serve-plane generation.
+            # Weight-only splices keep the layout and therefore the
+            # published leaf ids (and the identity table).
+            self.leaf_generation += 1
+            self.name_collisions = new_flat.name_collisions
+        return info.get("target_dirty")
 
     def _compile_full(self, policy, epoch: tuple, timed: bool,
                       kind: str) -> None:
@@ -380,77 +380,55 @@ class FairshareCalculationService:
             group_usage_sum=None if gsum is None else gsum * ratio,
             touched_nodes=result.touched_nodes)
 
-    # -- incremental usage fold ---------------------------------------------
+    # -- usage fold --------------------------------------------------------
 
-    def _update_fold(self) -> Optional[set]:
-        """Drain the UMS totals cursor into the alias-folded usage state.
+    def _fold_usage(self) -> Optional[List[int]]:
+        """Drain the UMS totals cursor onto the leaf rows.
 
-        Returns the set of folded keys whose base totals changed, or None
-        when the fold was rebuilt from scratch (resync: everything may
-        have changed).  Bumps :attr:`_usage_version` iff the fold moved.
+        A leaf's base usage is the sum of the base totals of every identity
+        the identity table maps to its row; identities naming no leaf (an
+        internal node, or nothing) are ignored.  A resync drain (priming, a
+        full UMS refresh, a scale renormalization) or a new table refolds
+        every row and returns None; otherwise only the rows a changed user
+        names are re-summed, and the ones whose base moved are returned.
+        Bumps :attr:`_usage_version` iff some leaf's base moved.
         """
         full, changed = self.ums.drain_totals_changes(self._ums_cursor)
-        if full or self._fold_invalid:
-            return self._rebuild_fold()
-        if not changed:
-            return set()
-        base_view = self.ums.usage_totals_base()
-        changed_keys: set = set()
-        for user, base in changed.items():
-            key = self.identity_map.get(user, user)
-            if key in self._alias_keys:
-                # several identities may fold onto this key: re-sum its
-                # contributors (alias groups are small)
-                users = self._key_users.setdefault(key, set())
-                if base is None:
-                    users.discard(user)
-                else:
-                    users.add(user)
-                total = 0.0
-                found = False
-                for contributor in users:
-                    b = base_view.get(contributor)
-                    if b is not None:
-                        total += b
-                        found = True
-                old = self._fold.get(key)
-                if not found:
-                    if old is not None:
-                        del self._fold[key]
-                        changed_keys.add(key)
-                elif old != total:
-                    self._fold[key] = total
-                    changed_keys.add(key)
-            else:
-                # key == user and nothing else folds here
-                old = self._fold.get(key)
-                if base is None:
-                    if old is not None:
-                        del self._fold[key]
-                        changed_keys.add(key)
-                elif old != base:
-                    self._fold[key] = base
-                    changed_keys.add(key)
-        if changed_keys:
+        table = self.identity_table()
+        bases = self.ums.usage_totals_base()
+        n_leaves = self._flat.n_leaves
+        if full or table is not self._fold_table:
+            count = len(bases)
+            rows = np.fromiter((table.get(user, NODE_ROW) for user in bases),
+                               dtype=np.int64, count=count)
+            weights = np.fromiter(bases.values(), dtype=np.float64,
+                                  count=count)
+            named = rows < n_leaves
+            # (with no rows at all bincount answers int64 zeros)
+            leaf_base = np.bincount(rows[named], weights=weights[named],
+                                    minlength=n_leaves).astype(
+                                        np.float64, copy=False)
+            if self._leaf_base is None \
+                    or not np.array_equal(leaf_base, self._leaf_base):
+                self._usage_version += 1
+            self._leaf_base = leaf_base
+            self._fold_table = table
+            return None
+        leaf_base = self._leaf_base
+        names, starts = self._row_names, self._row_starts
+        moved: List[int] = []
+        for row in {table.get(user, NODE_ROW) for user in changed}:
+            if row >= n_leaves:
+                continue
+            total = 0.0
+            for identity in names[starts[row]:starts[row + 1]]:
+                total += bases.get(identity, 0.0)
+            if total != leaf_base[row]:
+                leaf_base[row] = total
+                moved.append(row)
+        if moved:
             self._usage_version += 1
-        return changed_keys
-
-    def _rebuild_fold(self) -> Optional[set]:
-        """Full refold of the UMS base totals (priming, resync, new alias)."""
-        self._alias_keys = set(self.identity_map.values())
-        fold: Dict[str, float] = {}
-        key_users: Dict[str, Set[str]] = {}
-        for user, base in self.ums.usage_totals_base().items():
-            key = self.identity_map.get(user, user)
-            fold[key] = fold.get(key, 0.0) + base
-            if key in self._alias_keys:
-                key_users.setdefault(key, set()).add(user)
-        if fold != self._fold:
-            self._usage_version += 1
-        self._fold = fold
-        self._key_users = key_users
-        self._fold_invalid = False
-        return None
+        return moved
 
     def _capture_horizons(self) -> None:
         """Inherit the UMS's refresh-time horizon set and observe each
@@ -533,8 +511,6 @@ class FairshareCalculationService:
         """
         self.identity_map[identity] = leaf
         self._alias_version += 1
-        # the alias fold is keyed by the map: rebuild it on the next refresh
-        self._fold_invalid = True
 
     def identity_table(self) -> Mapping[str, int]:
         """Every resolvable identity -> its leaf row: the one identity rule.
@@ -546,11 +522,15 @@ class FairshareCalculationService:
         through another alias; an alias whose target names nothing shadows
         a same-named leaf.
 
+        The same table routes usage: a leaf's base usage is the sum over
+        every identity it maps to that leaf's row (:meth:`_fold_usage`).
+
         Rows move only when :attr:`leaf_generation` does, and aliases only
         with :meth:`register_identity`, so the table is rebuilt lazily on
         the first read after either and reused otherwise.  It is replaced
         wholesale, never mutated: a snapshot holding it stays consistent,
-        and the shm writer tells a new table from an old one by identity.
+        and the shm writer and the usage fold tell a new table from an old
+        one by identity.
         """
         key = (self.leaf_generation, self._alias_version)
         if key != self._table_key:
@@ -566,6 +546,17 @@ class FairshareCalculationService:
                     rows.pop(alias, None)
                 else:
                     rows[alias] = row
+            # the inverse in CSR form: the identities naming leaf row r are
+            # names[starts[r]:starts[r + 1]]: two objects for the garbage
+            # collector to walk, not one list per row
+            identities = list(rows)
+            row_of = np.fromiter(rows.values(), dtype=np.int64,
+                                 count=len(rows))
+            named = np.flatnonzero(row_of < flat.n_leaves)
+            order = named[np.argsort(row_of[named], kind="stable")]
+            self._row_names = [identities[i] for i in order.tolist()]
+            self._row_starts = np.searchsorted(
+                row_of[order], np.arange(flat.n_leaves + 1)).tolist()
             self._table = rows
             self._table_key = key
         return self._table

@@ -1,13 +1,18 @@
-"""One identity rule, three readers.
+"""One identity rule, four readers.
 
 The FCS owns the only identity table (identity -> leaf row); ``fcs.lookup``,
 the in-process :class:`FairshareSnapshot` and the shared-memory
-:class:`ShmEpochView` all read it.  After every step of a random schedule
-of usage, alias registrations and policy edits, the three must answer
-every candidate identity alike at equal seq — and all three must agree
-with the rule written out naively over the policy tree.
+:class:`ShmEpochView` all read it, and the FCS's usage fold routes usage
+through it.  After every step of a random schedule of usage, alias
+registrations and policy edits, the three lookup readers must answer
+every candidate identity alike at equal seq, all three must agree with the
+rule written out naively over the policy tree, and each leaf must be
+served the sum of the usage recorded under every identity that naive rule
+resolves to it — two spellings of one leaf add up, neither overwrites the
+other.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +51,8 @@ EDIT_PATHS = ["/g0/a", "/g0/b", "/g1/c", "/g2/sub/e", "/g2/d", "/g1"]
 #: under an existing leaf (which turns it into an internal node)
 ADD_PATHS = ["/g2/new0", "/g0/new1", "/g1/b", "/g0/b/x", "/g2/sub/e/y"]
 #: identities usage is recorded under
-USAGE_USERS = ["a", "b", "c", "d", "e", "/g1/a", "CN=dn", "new0", "stranger"]
+USAGE_USERS = ["a", "b", "c", "d", "e", "/g1/a", "/g0/a", "/g2/sub/e",
+               "CN=dn", "new0", "stranger"]
 
 CANDIDATES = sorted(set(TARGETS + ALIASES + EDIT_PATHS + ADD_PATHS
                         + USAGE_USERS + ["/g0", "/g2", "/", "", "x", "y",
@@ -103,6 +109,21 @@ def check_fcs(fcs, policy):
         assert fcs.lookup(identity) == want, identity
 
 
+def check_usage(fcs, policy):
+    """Each leaf is served the summed usage of the identities naming it."""
+    want = {}
+    for identity, total in fcs.ums.usage_totals().items():
+        node = naive_node(policy, fcs.identity_map, identity)
+        if node is not None and node.is_leaf:
+            want[node.path] = want.get(node.path, 0.0) + total
+    result = fcs.flat_result()
+    for path in result.flat.leaf_paths:
+        served = result.usage[result.flat.path_index[path]]
+        assert served == pytest.approx(want.pop(path, 0.0),
+                                       rel=1e-9, abs=1e-9), path
+    assert want == {}
+
+
 def check_readers(fcs, policy, snap, view):
     assert view.seq == snap.seq == fcs.publishes
     check_fcs(fcs, policy)
@@ -132,6 +153,9 @@ class TestOneIdentityRule:
     # that alias; an alias aimed at nothing shadows the node it is named as
     @example([("alias", "c", "d"), ("alias", "a", "c"),
               ("alias", "/g1", "ghost"), ("job", "a")])
+    # a bare name and the path it resolves to charge one leaf: the leaf is
+    # served both, also after the bare name is charged again
+    @example([("job", "a"), ("job", "/g0/a"), ("job", "a")])
     def test_fcs_snapshot_and_shm_resolve_alike(self, schedule):
         engine, uss, pds, fcs = build_stack()
         writer = ShmSnapshotWriter("idt")
@@ -160,6 +184,7 @@ class TestOneIdentityRule:
                 snap = snapshot_from_fcs(fcs)
                 writer.publish(snap)
                 check_readers(fcs, pds.policy(), snap, reader.view())
+                check_usage(fcs, pds.policy())
         finally:
             reader.close()
             writer.close()

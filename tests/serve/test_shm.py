@@ -221,6 +221,23 @@ class TestTornReadImpossibility:
         assert not errors, f"torn epoch observed: {errors[0]}"
         assert validated > 100  # the validated-read loop actually ran
 
+    def test_view_of_a_recycled_buffer_loses_its_stamp(self):
+        """Two publishes recycle the buffer a view was built on.  The view
+        must stop vouching for it (else a stamp-validated read would return
+        the newer epoch's values under the view's older seq), and a lookup
+        must answer the new epoch's value with that epoch's seq."""
+        with ShmSnapshotWriter("t", token="tr3") as writer:
+            _publish(writer, seq=1, n=8, value=1.0)
+            reader = ShmSnapshotReader(writer.name)
+            view = reader.view()
+            assert view.seq == 1 and view.stamp() is not None
+            _publish(writer, seq=2, n=8, value=2.0)
+            _publish(writer, seq=3, n=8, value=3.0)
+            assert view.stamp() is None
+            value, known, current = reader.lookup("u5")
+            assert (value, known, current.seq) == (3.0, True, 3)
+            reader.close()
+
     def test_single_key_lookup_is_stamp_validated(self):
         n = 64
         stop = threading.Event()
