@@ -169,7 +169,7 @@ def collector_rows(report):
             sampled = grid.staleness_samples(window)
             # one more beat so the gauge covers the sampling window's tail
             time.sleep(2 * SCRAPE_INTERVAL)
-            gauge = collector.store["fleet/max_staleness"].values()
+            gauge = collector.store["fleet/max_staleness"].values
             scrapes, errors = collector.scrapes, collector.scrape_errors
         finally:
             collector.stop()

@@ -11,8 +11,10 @@ tell the story:
 * **cross-site divergence** — the same user's projected value disagreeing
   across sites right after the burst, then converging as exchanges drain
   the staleness;
-* the **convergence half-life** of that disagreement, plus the markdown
-  report `aequus-repro report --from` renders from the recorded series.
+* the **convergence time** of that disagreement (the paper's measure:
+  when the series fell back below a threshold and stayed there), plus
+  the markdown report `aequus-repro report --from` renders from the
+  recorded series.
 
 Run:  python examples/evaluation.py
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from repro.core.policy import PolicyTree
 from repro.core.usage import UsageRecord
-from repro.obs.evaluate import FairnessRecorder, convergence_half_life
+from repro.obs.evaluate import FairnessRecorder, convergence_time
 from repro.obs.timeseries import SeriesStore
 from repro.services.network import Network
 from repro.services.site import AequusSite, SiteConfig, connect_sites
@@ -80,10 +82,11 @@ for step in range(6):
 engine.run_for(200.0)
 
 div = recorder.divergence()
-half_life = convergence_half_life(div, t_burst)
+threshold = 0.01
+converged = convergence_time(div, threshold)
 print(f"\ndivergence peaked at {div.max():.4f}, now {div.last()[1]:.4f}; "
-      f"convergence half-life {half_life:.0f}s" if half_life is not None
-      else "\nstill converging")
+      f"converged below {threshold} at {converged - t_burst:.0f}s "
+      "after the burst" if converged is not None else "\nstill converging")
 
 # ---------------------------------------------------------------------------
 # 3. The recorded series render as the same report the CLI produces:

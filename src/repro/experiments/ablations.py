@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..sim.metrics import convergence_time
 from ..workload.reference import build_testbed_trace
 from .common import ScenarioResult, TestbedConfig, build_testbed, run_scenario
 

@@ -22,11 +22,12 @@ from ..rms.maui import MauiScheduler, MauiWeights
 from ..rms.priority import FactorWeights
 from ..rms.scheduler import BaseScheduler
 from ..rms.slurm import SlurmScheduler
+from ..obs.evaluate import convergence_time, share_deviation
+from ..obs.timeseries import RingSeries, SeriesStore
 from ..services.network import Network
 from ..services.site import AequusSite, ParticipationMode, SiteConfig, connect_sites
 from ..sim.engine import SimulationEngine
 from ..sim.grid import GridIdentityMapper, GridSubmissionHost
-from ..sim.metrics import MetricsRecorder, TimeSeries, convergence_time, share_deviation
 from ..sim.random import RandomStreams
 from ..workload.reference import GRID_IDENTITIES, USAGE_SHARES
 from ..workload.trace import Trace
@@ -94,7 +95,7 @@ class Testbed:
     schedulers: List[BaseScheduler]
     libs: List[LibAequus]
     host: GridSubmissionHost
-    metrics: MetricsRecorder
+    metrics: SeriesStore
     usage_by_identity: Dict[str, float] = field(default_factory=dict)
 
     def stop(self) -> None:
@@ -125,7 +126,7 @@ def build_testbed(config: TestbedConfig) -> Testbed:
     sites: List[AequusSite] = []
     schedulers: List[BaseScheduler] = []
     libs: List[LibAequus] = []
-    metrics = MetricsRecorder()
+    metrics = SeriesStore(capacity=None)  # every sample of the run
     for i, name in enumerate(config.site_names()):
         mode = config.participation.get(name, ParticipationMode.FULL)
         # de-phase service loops across sites, as in a real deployment
@@ -220,27 +221,27 @@ def _install_sampler(testbed: Testbed, targets: Mapping[str, float]) -> None:
     def sample() -> None:
         now = engine.now
         shares = current_shares()
-        testbed.metrics.record_many("usage_share", now, shares)
-        testbed.metrics.record(
+        testbed.metrics.sample_many("usage_share", now, shares)
+        testbed.metrics.sample(
             "share_deviation", now, share_deviation(shares, targets))
         dshares = decayed_shares()
-        testbed.metrics.record_many("decayed_share", now, dshares)
-        testbed.metrics.record(
+        testbed.metrics.sample_many("decayed_share", now, dshares)
+        testbed.metrics.sample(
             "decayed_deviation", now, share_deviation(dshares, targets))
         busy = sum(s.cluster.busy_cores for s in testbed.schedulers)
         total = sum(s.cluster.total_cores for s in testbed.schedulers)
-        testbed.metrics.record("utilization", now, busy / total)
+        testbed.metrics.sample("utilization", now, busy / total)
         queued = sum(s.queue_length for s in testbed.schedulers)
-        testbed.metrics.record("queue_length", now, queued)
+        testbed.metrics.sample("queue_length", now, queued)
         for site in testbed.sites:
             for identity in identities:
-                testbed.metrics.record(
+                testbed.metrics.sample(
                     f"priority/{site.name}/{identity}", now,
                     site.fcs.priority(identity))
         # grid-mean priority per identity (the paper's per-user priority plot)
         for identity in identities:
             values = [site.fcs.priority(identity) for site in testbed.sites]
-            testbed.metrics.record(f"priority/{identity}", now,
+            testbed.metrics.sample(f"priority/{identity}", now,
                                    sum(values) / len(values))
 
     engine.periodic(cfg.sample_interval, sample, start_offset=cfg.sample_interval)
@@ -252,7 +253,7 @@ class ScenarioResult:
 
     name: str
     config: TestbedConfig
-    metrics: MetricsRecorder
+    metrics: SeriesStore
     targets: Dict[str, float]
     jobs_submitted: int
     jobs_completed: int
@@ -266,14 +267,14 @@ class ScenarioResult:
     #: signal than the cumulative shares (used by the Figure 11 comparison)
     decayed_convergence_seconds: Optional[float] = None
 
-    def series(self, name: str) -> TimeSeries:
+    def series(self, name: str) -> RingSeries:
         return self.metrics[name]
 
-    def priority_series(self, identity: str, site: Optional[str] = None) -> TimeSeries:
+    def priority_series(self, identity: str, site: Optional[str] = None) -> RingSeries:
         key = f"priority/{site}/{identity}" if site else f"priority/{identity}"
         return self.metrics[key]
 
-    def usage_share_series(self, identity: str) -> TimeSeries:
+    def usage_share_series(self, identity: str) -> RingSeries:
         return self.metrics[f"usage_share/{identity}"]
 
     def summary_rows(self) -> List[str]:

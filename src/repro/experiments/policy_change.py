@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.policy import PolicyTree
-from ..sim.metrics import share_deviation
+from ..obs.evaluate import share_deviation
 from ..workload.reference import GRID_IDENTITIES, USAGE_SHARES, build_testbed_trace
 from .common import LEAF_FOR_IDENTITY, TestbedConfig, Testbed, build_testbed
 

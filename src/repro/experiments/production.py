@@ -31,7 +31,6 @@ from ..rms.slurm import SlurmScheduler
 from ..services.network import Network
 from ..services.site import AequusSite, SiteConfig
 from ..sim.engine import SimulationEngine
-from ..sim.metrics import MetricsRecorder
 from ..workload.reference import GRID_IDENTITIES, USAGE_SHARES, build_production_trace
 from ..workload.trace import Trace
 
@@ -125,7 +124,6 @@ def run_production(months: float = 3.0, seed: int = 0,
                                    jobs_per_month=jobs_per_month)
     _submit(trace, sched, engine)
     span = months * MONTH
-    metrics = MetricsRecorder()
 
     n_months = max(1, int(months + 0.999))
     monthly: List[Dict[str, int]] = [dict() for _ in range(n_months)]

@@ -315,10 +315,6 @@ class GridHarness:
             raise RuntimeError(
                 "fault injection needs GridSpec(proxies=True)") from None
 
-    def set_link_latency(self, src: str, dst: str, base: float,
-                         jitter: float = 0.0) -> None:
-        self._link(src, dst).set_latency(base, jitter)
-
     def kill(self, site: str, grace: float = 0.0) -> None:
         """Stop one daemon (SIGTERM, escalating to SIGKILL)."""
         proc = self.procs[site]

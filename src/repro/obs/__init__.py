@@ -10,9 +10,11 @@ Three pieces (DESIGN.md §9):
   aequusd's ``METRICS`` op and the ``aequus-repro metrics`` CLI.
 
 Plus the evaluation plane (DESIGN.md §10): :mod:`~repro.obs.timeseries`
-(bounded ring series with CSV/JSONL export) and :mod:`~repro.obs.evaluate`
-(fairness-quality recorder — distance, divergence, staleness — and the
-markdown report renderers behind ``aequus-repro report``), and the fleet
+(the one series type, bounded or not, with CSV/JSONL export; the paper's
+experiments sample into it too) and :mod:`~repro.obs.evaluate`
+(fairness-quality recorder — distance, divergence, staleness — the
+paper's ``share_deviation``/``convergence_time``, and the markdown report
+renderers behind ``aequus-repro report``), and the fleet
 plane (DESIGN.md §14): :mod:`~repro.obs.collector` scrapes METRICS +
 INFO + TRACE_EXPORT from every daemon of a grid, merges them under a
 ``site`` label, and aligns cross-process traces on the shared virtual
@@ -31,9 +33,10 @@ from .registry import (AGE_BUCKETS, LATENCY_BUCKETS, MetricsRegistry,
 from .trace import Tracer, default_tracer, set_default_tracer, span
 from .export import render, render_many
 from .timeseries import RingSeries, SeriesStore
-from .evaluate import (FairnessRecorder, convergence_half_life,
+from .evaluate import (FairnessRecorder, convergence_time,
                        cross_site_divergence, distance_stats,
-                       parse_exposition, render_report, report_from_daemon)
+                       parse_exposition, render_report, report_from_daemon,
+                       share_deviation)
 from .collector import FleetCollector
 
 __all__ = [
@@ -47,7 +50,7 @@ __all__ = [
     "SeriesStore",
     "StatsView",
     "Tracer",
-    "convergence_half_life",
+    "convergence_time",
     "cross_site_divergence",
     "default_enabled",
     "default_registry",
@@ -62,6 +65,7 @@ __all__ = [
     "set_default_enabled",
     "set_default_tracer",
     "set_enabled",
+    "share_deviation",
     "span",
 ]
 

@@ -14,6 +14,10 @@ stack runs (DESIGN.md §10):
   sampled as series so stalls are visible as ramps, not just histogram
   mass.
 
+The paper's experiments judge a run by the same kind of series:
+:func:`share_deviation` (how far identities' usage shares sit from their
+targets) sampled over time, reduced by :func:`convergence_time`.
+
 :class:`FairnessRecorder` samples all three into a bounded
 :class:`~repro.obs.timeseries.SeriesStore` on an engine-periodic tick;
 :func:`render_report` turns a store into a markdown report and
@@ -39,12 +43,13 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FairnessRecorder",
-    "convergence_half_life",
+    "convergence_time",
     "cross_site_divergence",
     "distance_stats",
     "parse_exposition",
     "render_report",
     "report_from_daemon",
+    "share_deviation",
 ]
 
 
@@ -97,26 +102,38 @@ def cross_site_divergence(value_maps: Sequence[Mapping[str, float]],
     return worst, compared
 
 
-def convergence_half_life(series: RingSeries,
-                          t0: float) -> Optional[float]:
-    """Seconds from a perturbation at ``t0`` until the series has closed
-    half the gap between its post-``t0`` peak and its final value.
+def share_deviation(shares: Mapping[str, float],
+                    targets: Mapping[str, float]) -> float:
+    """Mean absolute deviation between observed and target shares.
 
-    Returns ``None`` when the series has no samples after ``t0`` or never
-    reaches the halfway point (still converging when sampling stopped).
+    The scalar "distance from balance" the experiments track over time to
+    quantify convergence; zero means the usage mix exactly matches policy.
     """
-    window = series.since(t0)
-    if len(window) < 2:
+    keys = set(shares) | set(targets)
+    if not keys:
+        return 0.0
+    return float(np.mean([abs(shares.get(k, 0.0) - targets.get(k, 0.0))
+                          for k in keys]))
+
+
+def convergence_time(series: RingSeries, threshold: float,
+                     hold: float = 0.0) -> Optional[float]:
+    """First time the series drops below ``threshold`` and stays there.
+
+    That is the time of the first sample after the last one not below the
+    threshold (a NaN sample counts as not below).  ``hold`` requires that
+    final run to last at least that long (guards against transient dips).
+    Returns ``None`` if the series never converges.  This is the paper's
+    convergence measure: Fig. 11 applies it to ``decayed_deviation`` with
+    threshold 0.05 and a hold of five samples.
+    """
+    times, values = series.times, series.values
+    start = len(values)
+    while start and values[start - 1] < threshold:
+        start -= 1
+    if start == len(values) or times[-1] - times[start] < hold:
         return None
-    peak_t, peak_v = max(window, key=lambda s: s[1])
-    final_v = window[-1][1]
-    if peak_v <= final_v:
-        return None
-    target = final_v + (peak_v - final_v) / 2.0
-    for t, v in window:
-        if t >= peak_t and v <= target:
-            return t - t0
-    return None
+    return times[start]
 
 
 # -- the recorder -------------------------------------------------------------
@@ -256,10 +273,6 @@ class FairnessRecorder:
         return (self.store["divergence_max"]
                 if "divergence_max" in self.store else None)
 
-    def staleness_series(self, site: str, origin: str) -> Optional[RingSeries]:
-        name = f"staleness/{site}/{origin}"
-        return self.store[name] if name in self.store else None
-
 
 # -- report rendering ---------------------------------------------------------
 
@@ -301,8 +314,8 @@ def render_report(store: SeriesStore, title: str = "Aequus fairness report",
     for name in remaining:
         series = store[name]
         if len(series):
-            span[0] = min(span[0], series.times()[0])
-            span[1] = max(span[1], series.times()[-1])
+            span[0] = min(span[0], series.times[0])
+            span[1] = max(span[1], series.times[-1])
     if span[0] <= span[1]:
         lines.append(f"Window: t={_fmt(span[0])} .. t={_fmt(span[1])} "
                      "(virtual seconds, ring-bounded)")

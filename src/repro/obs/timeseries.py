@@ -1,27 +1,29 @@
-"""Bounded time-series storage for the evaluation plane (DESIGN.md §10).
+"""Time-series storage for the evaluation plane (DESIGN.md §10).
 
-:class:`RingSeries` is a fixed-capacity (time, value) ring buffer;
-:class:`SeriesStore` is a named collection of them with CSV/JSONL export
-and re-import.  This is the *operational* counterpart of
-:mod:`repro.sim.metrics`: that module's :class:`~repro.sim.metrics.TimeSeries`
-grows without bound for offline analysis of one simulation run, while a
-ring series can sample a long-running daemon forever in O(capacity)
-memory — the recorder in :mod:`repro.obs.evaluate` samples into a store
-every tick and the ``aequus-repro report`` CLI renders one.
+:class:`RingSeries` is a (time, value) series, bounded to a capacity or
+unbounded; :class:`SeriesStore` is a named collection of them with
+CSV/JSONL export and re-import.  It is the one series plane of the repo:
+the paper's experiments sample every run into an unbounded store
+(``ScenarioResult.metrics``) and read it back with :meth:`RingSeries.at`
+and :meth:`RingSeries.tail_mean`, while a bounded store samples a
+long-running daemon forever in O(capacity) memory — the recorder in
+:mod:`repro.obs.evaluate` samples into one every tick and the
+``aequus-repro report`` CLI renders one.
 
 The JSONL format is one sample per line
 (``{"series": <name>, "t": <time>, "v": <value>}``): append-friendly,
-greppable, and loss-tolerant — a truncated last line is skipped on load,
-so a report can always be rendered from a file a live daemon is still
-writing.
+greppable, and loss-tolerant — a truncated or corrupt line is skipped on
+load, so a damaged file still renders a report.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import (IO, Callable, Deque, Dict, Iterator, List, Mapping,
-                    Optional, Tuple, Union)
+from bisect import bisect_right
+from typing import (IO, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
+
+import numpy as np
 
 __all__ = ["RingSeries", "SeriesStore"]
 
@@ -31,22 +33,22 @@ DEFAULT_CAPACITY = 4096
 
 
 class RingSeries:
-    """A named scalar series in a bounded ring buffer.
+    """A named scalar series: parallel ``times`` / ``values`` lists.
 
-    Appends are O(1); once ``capacity`` samples are held, the oldest is
-    evicted.  Times must be non-decreasing (samples come from one clock);
-    a series configured with its own ``clock`` (the fleet collector's
-    virtual-epoch clock) stamps every sample from that clock instead —
-    per-daemon timestamps from processes booted at different wall times
-    would otherwise interleave non-monotonically when merged.
+    Once ``capacity`` samples are held, each append evicts the oldest
+    (``capacity=None`` keeps every sample, as the experiments do).  Times must be non-decreasing (samples come from one
+    clock); a series configured with its own ``clock`` (the fleet
+    collector's virtual-epoch clock) stamps every sample from that clock
+    instead — per-daemon timestamps from processes booted at different
+    wall times would otherwise interleave non-monotonically when merged.
     """
 
-    __slots__ = ("name", "capacity", "clock", "clamped", "_samples",
+    __slots__ = ("name", "capacity", "clock", "clamped", "times", "values",
                  "appended")
 
-    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY,
+    def __init__(self, name: str, capacity: Optional[int] = DEFAULT_CAPACITY,
                  clock: Optional[Callable[[], float]] = None):
-        if capacity < 1:
+        if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.name = name
         self.capacity = capacity
@@ -56,66 +58,69 @@ class RingSeries:
         #: samples whose clock read stepped backwards (NTP slew) and were
         #: clamped to the previous timestamp instead of raising
         self.clamped = 0
-        self._samples: Deque[Tuple[float, float]] = deque(maxlen=capacity)
+        self.times: List[float] = []
+        self.values: List[float] = []
         #: lifetime append count (evictions don't decrement)
         self.appended = 0
 
     def append(self, t: float, value: float) -> None:
+        times = self.times
         if self.clock is not None:
             t = self.clock()
-            if self._samples and t < self._samples[-1][0]:
-                t = self._samples[-1][0]
+            if times and t < times[-1]:
+                t = times[-1]
                 self.clamped += 1
-        elif self._samples and t < self._samples[-1][0]:
+        elif times and t < times[-1]:
             raise ValueError(
-                f"{self.name}: time went backwards "
-                f"({t} < {self._samples[-1][0]})")
-        self._samples.append((float(t), float(value)))
+                f"{self.name}: time went backwards ({t} < {times[-1]})")
+        if len(times) == self.capacity:
+            del times[0], self.values[0]
+        times.append(float(t))
+        self.values.append(float(value))
         self.appended += 1
 
     # -- reads --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.times)
 
     def __iter__(self) -> Iterator[Tuple[float, float]]:
-        return iter(self._samples)
-
-    def times(self) -> List[float]:
-        return [t for t, _ in self._samples]
-
-    def values(self) -> List[float]:
-        return [v for _, v in self._samples]
+        return zip(self.times, self.values)
 
     def last(self) -> Optional[Tuple[float, float]]:
-        return self._samples[-1] if self._samples else None
+        return (self.times[-1], self.values[-1]) if self.times else None
 
-    def first(self) -> Optional[Tuple[float, float]]:
-        return self._samples[0] if self._samples else None
+    def at(self, t: float) -> float:
+        """Last value recorded at or before ``t`` (step interpolation);
+        the first value for ``t`` before the first sample."""
+        if not self.times:
+            raise ValueError(f"{self.name}: empty series")
+        return self.values[max(bisect_right(self.times, t) - 1, 0)]
 
-    def since(self, t0: float) -> List[Tuple[float, float]]:
-        """Samples with ``t >= t0`` (still in the buffer)."""
-        return [(t, v) for t, v in self._samples if t >= t0]
-
-    def min(self) -> float:
-        return min(v for _, v in self._samples)
+    def tail_mean(self, fraction: float = 0.25) -> float:
+        """Mean over the final ``fraction`` of samples (steady-state level)."""
+        if not self.values:
+            raise ValueError(f"{self.name}: empty series")
+        n = max(1, int(len(self.values) * fraction))
+        return float(np.mean(self.values[-n:]))
 
     def max(self) -> float:
-        return max(v for _, v in self._samples)
+        return max(self.values)
 
     def mean(self) -> float:
-        return sum(v for _, v in self._samples) / len(self._samples)
+        return sum(self.values) / len(self.values)
 
 
 class SeriesStore:
-    """Named ring series, created on first sample.
+    """Named series, created on first sample with the store's
+    ``capacity`` and ``clock``.
 
     Not thread-safe by design: samples come from the single thread driving
     the engine (the sim loop or the daemon's tick thread), like every
     other service-side mutation.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY,
                  clock: Optional[Callable[[], float]] = None):
         self.capacity = capacity
         #: passed to every created series (see :class:`RingSeries`); the
@@ -197,11 +202,12 @@ class SeriesStore:
 
     @classmethod
     def from_jsonl(cls, source: Union[str, IO[str]],
-                   capacity: int = DEFAULT_CAPACITY) -> "SeriesStore":
+                   capacity: Optional[int] = DEFAULT_CAPACITY,
+                   ) -> "SeriesStore":
         """Rebuild a store from :meth:`to_jsonl` output.
 
-        Blank and truncated/corrupt lines are skipped (a live writer may
-        be mid-line), so rendering a report never races the recorder.
+        Blank and truncated/corrupt lines are skipped, so a file cut short
+        (a recorder killed mid-write) still loads every whole sample.
         """
         store = cls(capacity=capacity)
         stream, owned = store._open(source, "r")

@@ -126,11 +126,6 @@ class BaseScheduler:
             self._head = 0
         return self._queue
 
-    def _queue_order(self) -> List[Job]:
-        """Current queue, best-priority first (stale entries skipped)."""
-        return [job for _, job in self._ensure_queue()[self._head:]
-                if job.job_id in self._pending]
-
     def schedule_pass(self) -> None:
         """Start as many jobs as priorities and resources allow.
 

@@ -337,11 +337,6 @@ def bin_get_vector_by_name(rid: int, user: str) -> bytes:
     return bin_request(BOP_GET_VECTOR, rid, user.encode("utf-8"))
 
 
-def bin_get_vector_by_id(rid: int, gen: int, leaf_id: int) -> bytes:
-    return bin_request(BOP_GET_VECTOR, rid, BIN_BY_ID.pack(gen, leaf_id),
-                       flags=BF_BY_ID)
-
-
 def bin_report_usage(rid: int, user: str, start: float, end: float,
                      cores: int) -> bytes:
     return bin_request(BOP_REPORT_USAGE, rid,
@@ -354,10 +349,6 @@ def bin_batch_fairshare(rid: int, gen: int, leaf_ids: list) -> bytes:
     body = BIN_BATCH_HEAD.pack(gen, len(leaf_ids)) + \
         struct.pack(">%dI" % len(leaf_ids), *leaf_ids)
     return bin_request(BOP_BATCH_FAIRSHARE, rid, body, flags=BF_BY_ID)
-
-
-def bin_ping(rid: int) -> bytes:
-    return bin_request(BOP_PING, rid)
 
 
 def bin_lookup_account(rid: int, system_user: str) -> bytes:

@@ -1,14 +1,12 @@
-"""Discrete-event simulation substrate: engine, RNG streams, metrics, and
-the grid submission layer (replaces the paper's physical test bed)."""
+"""Discrete-event simulation substrate: engine, RNG streams, and the grid
+submission layer (replaces the paper's physical test bed)."""
 
 from .engine import PeriodicTask, SimulationEngine, SimulationError
 from .grid import GridIdentityMapper, GridSubmissionHost
-from .metrics import MetricsRecorder, TimeSeries, convergence_time, share_deviation
 from .random import RandomStreams
 
 __all__ = [
     "PeriodicTask", "SimulationEngine", "SimulationError",
     "GridIdentityMapper", "GridSubmissionHost",
-    "MetricsRecorder", "TimeSeries", "convergence_time", "share_deviation",
     "RandomStreams",
 ]

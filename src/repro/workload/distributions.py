@@ -211,21 +211,6 @@ class Family:
         return f"<Family {self.name}>"
 
 
-def _identity_shapes(n_shapes: int):
-    """Converters for families whose paper params are (shapes..., scale)
-    with loc pinned at 0."""
-
-    def to_scipy(params):
-        *shapes, scale = params
-        return (*shapes, 0.0, scale)
-
-    def from_scipy(scipy_params):
-        *shapes, loc, scale = scipy_params
-        return (*shapes, scale)
-
-    return to_scipy, from_scipy
-
-
 def _gev_lmoment_guess(data: np.ndarray) -> Tuple[float, float, float]:
     """Hosking's L-moment estimator for the GEV, in scipy (c, loc, scale).
 

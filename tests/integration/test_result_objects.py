@@ -5,13 +5,13 @@ import pytest
 from repro.experiments.common import ScenarioResult, TestbedConfig
 from repro.experiments.policy_change import PolicyChangeResult
 from repro.experiments.scenarios import UpdateDelayComparison
-from repro.sim.metrics import MetricsRecorder
+from repro.obs.timeseries import SeriesStore
 
 
 def fake_result(span: float, decayed_conv: float) -> ScenarioResult:
     return ScenarioResult(
         name="fake", config=TestbedConfig(span=span),
-        metrics=MetricsRecorder(), targets={},
+        metrics=SeriesStore(capacity=None), targets={},
         jobs_submitted=10, jobs_completed=10, final_shares={},
         mean_utilization=0.9, throughput_per_minute=100.0,
         peak_submission_rate=200.0, convergence_seconds=None,

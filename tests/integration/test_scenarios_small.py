@@ -12,6 +12,8 @@ from repro.experiments.scenarios import (
     non_optimal_policy,
     partial_participation,
 )
+from repro.obs.evaluate import render_report
+from repro.obs.timeseries import SeriesStore
 from repro.workload.reference import BURSTY_USAGE_SHARES, GRID_IDENTITIES, USAGE_SHARES
 
 SMALL = dict(n_jobs=4000, span=3600.0, n_sites=2, hosts_per_site=20, seed=3)
@@ -53,6 +55,26 @@ class TestBaseline:
         early = dev.values[1]
         late = dev.tail_mean(0.25)
         assert late < early
+
+
+class TestPaperRunThroughLiveReport:
+    """A paper run's series are the daemon's series: they export, reload
+    and render through the same report as a recorded daemon."""
+
+    def test_metrics_round_trip_and_render(self, baseline_result, tmp_path):
+        path = str(tmp_path / "baseline.jsonl")
+        baseline_result.metrics.to_jsonl(path)
+        loaded = SeriesStore.from_jsonl(path, capacity=None)
+        site = baseline_result.config.site_names()[0]
+        priority = f"priority/{site}/{GRID_IDENTITIES['U65']}"
+        for name in ("share_deviation", priority):
+            original = baseline_result.metrics[name]
+            assert len(original) > 1
+            assert loaded[name].times == original.times
+            assert loaded[name].values == original.values
+        report = render_report(loaded)
+        assert "| share_deviation |" in report
+        assert f"| {priority} |" in report
 
 
 class TestNonOptimalPolicy:

@@ -1,10 +1,13 @@
-"""Unit tests for the fairness-quality recorder and report renderers."""
+"""Unit tests for the fairness-quality recorder, the convergence measure
+and the report renderers."""
+
+import math
 
 import pytest
 
 from repro.core.policy import PolicyTree
 from repro.core.usage import UsageRecord
-from repro.obs.evaluate import (FairnessRecorder, convergence_half_life,
+from repro.obs.evaluate import (FairnessRecorder, convergence_time,
                                 cross_site_divergence, distance_stats,
                                 parse_exposition, render_report,
                                 report_from_daemon)
@@ -75,32 +78,28 @@ class TestCrossSiteDivergence:
         assert cross_site_divergence([{"a": 0.5}, {}]) == (0.0, 0)
 
 
-class TestConvergenceHalfLife:
-    def series(self, samples):
-        s = RingSeries("x")
-        for t, v in samples:
-            s.append(t, v)
-        return s
+#: (values sampled 1 s apart, hold, expected convergence_time at 0.02)
+CONVERGENCE_CASES = {
+    "simple": ([0.5, 0.3, 0.1, 0.05, 0.01, 0.01, 0.01], 0.0, 4.0),
+    "transient_dip_then_rise": ([0.5, 0.01, 0.5, 0.01, 0.01], 0.0, 3.0),
+    "never": ([0.5, 0.4, 0.3], 0.0, None),
+    "hold_not_met": ([0.5, 0.01, 0.01], 10.0, None),
+    "hold_met": ([0.5, 0.01, 0.01], 1.0, 1.0),
+    "from_start": ([0.001, 0.001], 0.0, 0.0),
+    "nan_counts_as_not_below": ([0.5, 0.01, math.nan, 0.01, 0.01], 0.0, 3.0),
+    "final_run_lasts_exactly_hold": ([0.5, 0.01, 0.01, 0.01], 2.0, 1.0),
+}
 
-    def test_exponential_decay_half_life(self):
-        s = self.series([(float(t), 0.8 * 0.5 ** (t / 10.0))
-                         for t in range(0, 60, 2)])
-        hl = convergence_half_life(s, 0.0)
-        # final value ~0 -> halfway point at v=~0.4, reached near t=10
-        assert hl == pytest.approx(10.0, abs=2.0)
 
-    def test_flat_series_has_no_half_life(self):
-        s = self.series([(float(t), 0.5) for t in range(5)])
-        assert convergence_half_life(s, 0.0) is None
-
-    def test_window_after_t0_only(self):
-        s = self.series([(0.0, 9.0), (10.0, 1.0), (20.0, 0.5), (30.0, 0.0)])
-        # the pre-t0 spike at t=0 must be ignored
-        hl = convergence_half_life(s, 5.0)
-        assert hl == pytest.approx(15.0)
-
-    def test_insufficient_samples(self):
-        assert convergence_half_life(self.series([(0.0, 1.0)]), 0.0) is None
+class TestConvergenceTime:
+    @pytest.mark.parametrize("values,hold,expected",
+                             list(CONVERGENCE_CASES.values()),
+                             ids=list(CONVERGENCE_CASES))
+    def test_convergence_time(self, values, hold, expected):
+        s = RingSeries("dev", capacity=None)
+        for i, v in enumerate(values):
+            s.append(float(i), v)
+        assert convergence_time(s, threshold=0.02, hold=hold) == expected
 
 
 class TestFairnessRecorder:
@@ -119,8 +118,7 @@ class TestFairnessRecorder:
         assert "divergence_max" in names and "divergence_users" in names
         assert rec.store.names(prefix="staleness/s0/")  # remote horizons
         assert rec.divergence().last()[1] == pytest.approx(0.0)
-        assert rec.staleness_series("s0", "s1") is not None
-        assert rec.staleness_series("s0", "ghost") is None
+        assert "staleness/s0/s1" in names
 
     def test_single_site_skips_divergence(self):
         engine, sites = make_sites(1)
@@ -142,7 +140,8 @@ class TestFairnessRecorder:
         div = rec.divergence()
         assert div.max() > 0.05
         assert div.last()[1] == pytest.approx(0.0, abs=1e-9)
-        assert convergence_half_life(div, 50.0) is not None
+        converged = convergence_time(div, threshold=0.01)
+        assert converged is not None and converged > 50.0
 
     def test_stop_cancels_sampling(self):
         engine, sites = make_sites(1)
@@ -184,6 +183,68 @@ class TestFairnessRecorder:
         assert rec.samples == 0
 
 
+#: ``render_report`` of the store built in ``test_golden_report``
+GOLDEN_REPORT = """\
+# Golden
+
+Window: t=0 .. t=180 (virtual seconds, ring-bounded)
+
+## Policy-vs-usage distance
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| distance_mean/s0 | 0.3 | 0.2 | 0.3 | 3 |
+
+## Usage staleness (seconds behind origin)
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| staleness/s0/s1 | 12.5 | 14.1667 | 30 | 3 |
+
+## Cross-site divergence
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| divergence_max | 0.25 | 0.1252 | 0.25 | 2 |
+
+## Fleet gauges
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| fleet/qps | 2.500e+03 | 2.000e+03 | 2.500e+03 | 2 |
+
+## Worst remote staleness per site
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| staleness_max/s0 | 7 | 7 | 7 | 1 |
+
+## Serve throughput per site
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| qps/s0 | 0.6667 | 0.5 | 0.6667 | 2 |
+
+## Exchange frame backlog per link (bytes)
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| frame_backlog/s0->s1 | 4.096e+03 | 2.048e+03 | 4.096e+03 | 2 |
+
+## Daemon liveness
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| up/s0 | 0 | 0.5 | 1 | 2 |
+
+## Other series
+
+| series | last | mean | max | samples |
+|---|---|---|---|---|
+| share_deviation | 0.011 | 0.037 | 0.07 | 3 |
+"""
+
+
 class TestRenderReport:
     def test_empty_store(self):
         text = render_report(SeriesStore())
@@ -202,6 +263,26 @@ class TestRenderReport:
         assert "## Cross-site divergence" in text
         assert "## Other series" in text
         assert "| distance_mean/s0 | 0.25 |" in text
+
+    def test_golden_report(self):
+        """One series per report section plus a paper series, rendered
+        byte for byte (section order, ``_fmt`` branches, mean arithmetic)."""
+        samples = {
+            "distance_mean/s0": [(0.0, 0.1), (30.0, 0.2), (60.0, 0.3)],
+            "staleness/s0/s1": [(0.0, 30.0), (30.0, 0.0), (60.0, 12.5)],
+            "divergence_max": [(10.0, 0.0004), (40.0, 0.25)],
+            "fleet/qps": [(5.0, 1500.0), (35.0, 2500.0)],
+            "staleness_max/s0": [(5.0, 7.0)],
+            "qps/s0": [(5.0, 1.0 / 3.0), (35.0, 2.0 / 3.0)],
+            "frame_backlog/s0->s1": [(5.0, 0.0), (35.0, 4096.0)],
+            "up/s0": [(5.0, 1.0), (35.0, 0.0)],
+            "share_deviation": [(60.0, 0.07), (120.0, 0.03), (180.0, 0.011)],
+        }
+        store = SeriesStore()
+        for name, rows in samples.items():
+            for t, v in rows:
+                store.sample(name, t, v)
+        assert render_report(store, title="Golden") == GOLDEN_REPORT
 
 
 class TestExpositionParsing:

@@ -14,10 +14,10 @@ class TestRingSeries:
         for t in range(5):
             s.append(float(t), float(t) * 2.0)
         assert len(s) == 5 and s.appended == 5
-        assert s.times() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert s.values() == [0.0, 2.0, 4.0, 6.0, 8.0]
-        assert s.first() == (0.0, 0.0) and s.last() == (4.0, 8.0)
-        assert s.min() == 0.0 and s.max() == 8.0
+        assert s.times == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert s.values == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert s.last() == (4.0, 8.0)
+        assert s.max() == 8.0
         assert s.mean() == pytest.approx(4.0)
 
     def test_capacity_evicts_oldest(self):
@@ -25,15 +25,8 @@ class TestRingSeries:
         for t in range(10):
             s.append(float(t), float(t))
         assert len(s) == 3
-        assert s.times() == [7.0, 8.0, 9.0]
+        assert s.times == [7.0, 8.0, 9.0]
         assert s.appended == 10  # lifetime count survives eviction
-
-    def test_since_filters_by_time(self):
-        s = RingSeries("x", capacity=10)
-        for t in range(6):
-            s.append(float(t), float(t))
-        assert s.since(3.0) == [(3.0, 3.0), (4.0, 4.0), (5.0, 5.0)]
-        assert s.since(99.0) == []
 
     def test_time_must_not_go_backwards(self):
         s = RingSeries("x")
@@ -44,7 +37,7 @@ class TestRingSeries:
 
     def test_empty_and_bad_capacity(self):
         s = RingSeries("x")
-        assert s.last() is None and s.first() is None and len(s) == 0
+        assert s.last() is None and len(s) == 0
         with pytest.raises(ValueError):
             RingSeries("x", capacity=0)
 
@@ -68,7 +61,7 @@ class TestSeriesStore:
         store = SeriesStore(capacity=2)
         for t in range(5):
             store.sample("x", float(t), float(t))
-        assert store["x"].times() == [3.0, 4.0]
+        assert store["x"].times == [3.0, 4.0]
 
     def test_csv_round_shape(self):
         store = SeriesStore()
@@ -92,7 +85,7 @@ class TestSeriesStore:
             assert set(record) == {"series", "t", "v"}
         loaded = SeriesStore.from_jsonl(io.StringIO(buf.getvalue()))
         assert loaded.names() == store.names()
-        assert loaded["d/max"].values() == store["d/max"].values()
+        assert loaded["d/max"].values == store["d/max"].values
 
     def test_from_jsonl_skips_torn_and_blank_lines(self):
         text = ('{"series":"x","t":1.0,"v":2.0}\n'
@@ -100,7 +93,7 @@ class TestSeriesStore:
                 '{"series":"x","t":2.0,"v":3.0}\n'
                 '{"series":"x","t":3.0,"v"')  # writer mid-line
         store = SeriesStore.from_jsonl(io.StringIO(text))
-        assert store["x"].values() == [2.0, 3.0]
+        assert store["x"].values == [2.0, 3.0]
 
     def test_file_target_round_trip(self, tmp_path):
         store = SeriesStore()
@@ -121,16 +114,16 @@ class TestClockedSeries:
         s = RingSeries("x", capacity=8, clock=lambda: next(ticks))
         s.append(999.0, 1.0)   # caller t is ignored
         s.append(-5.0, 2.0)
-        assert s.times() == [10.0, 11.0]
+        assert s.times == [10.0, 11.0]
 
     def test_backward_clock_steps_clamp_instead_of_raising(self):
         ticks = iter([10.0, 9.5, 11.0])
         s = RingSeries("x", capacity=8, clock=lambda: next(ticks))
         for v in (1.0, 2.0, 3.0):
             s.append(0.0, v)
-        assert s.times() == [10.0, 10.0, 11.0]
+        assert s.times == [10.0, 10.0, 11.0]
         assert s.clamped == 1
-        assert s.values() == [1.0, 2.0, 3.0]  # no sample was lost
+        assert s.values == [1.0, 2.0, 3.0]  # no sample was lost
 
     def test_unclocked_series_still_rejects_backward_time(self):
         s = RingSeries("x")
@@ -144,7 +137,7 @@ class TestClockedSeries:
         store.sample("a", 0.0, 1.0)
         store.sample("a", 0.0, 2.0)
         store.sample("a", 0.0, 3.0)
-        assert store["a"].times() == [1.0, 2.0, 2.0]
+        assert store["a"].times == [1.0, 2.0, 2.0]
         assert store["a"].clamped == 1
 
     def test_from_jsonl_keeps_file_timestamps(self):
@@ -154,4 +147,4 @@ class TestClockedSeries:
         buf = io.StringIO()
         src.to_jsonl(buf)
         clone = SeriesStore.from_jsonl(io.StringIO(buf.getvalue()))
-        assert clone["a"].times() == [3.0, 7.0]
+        assert clone["a"].times == [3.0, 7.0]

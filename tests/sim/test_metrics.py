@@ -1,70 +1,81 @@
-"""Unit tests for time series, recorder, and convergence analysis."""
+"""The series plane as the simulation experiments use it: an unbounded
+store, step reads and tail means over its series, and share deviation.
+
+The experiments keep every sample of a run (``SeriesStore(capacity=None)``,
+``ScenarioResult.metrics``); the paper drivers read it back through
+:meth:`RingSeries.at` and :meth:`RingSeries.tail_mean`.
+"""
 
 import pytest
 
-from repro.sim.metrics import MetricsRecorder, TimeSeries, convergence_time, share_deviation
+from repro.obs.evaluate import share_deviation
+from repro.obs.timeseries import RingSeries, SeriesStore
 
 
 class TestTimeSeries:
     def test_record_and_length(self):
-        ts = TimeSeries("x")
-        ts.record(0.0, 1.0)
-        ts.record(1.0, 2.0)
+        ts = RingSeries("x", capacity=None)
+        ts.append(0.0, 1.0)
+        ts.append(1.0, 2.0)
         assert len(ts) == 2
 
     def test_time_must_not_go_backwards(self):
-        ts = TimeSeries("x")
-        ts.record(5.0, 1.0)
+        ts = RingSeries("x", capacity=None)
+        ts.append(5.0, 1.0)
         with pytest.raises(ValueError):
-            ts.record(4.0, 1.0)
+            ts.append(4.0, 1.0)
 
     def test_at_step_interpolation(self):
-        ts = TimeSeries("x")
-        ts.record(0.0, 10.0)
-        ts.record(10.0, 20.0)
+        ts = RingSeries("x", capacity=None)
+        ts.append(0.0, 10.0)
+        ts.append(10.0, 20.0)
         assert ts.at(5.0) == 10.0
         assert ts.at(10.0) == 20.0
         assert ts.at(100.0) == 20.0
 
     def test_at_before_first_sample(self):
-        ts = TimeSeries("x")
-        ts.record(10.0, 5.0)
+        ts = RingSeries("x", capacity=None)
+        ts.append(10.0, 5.0)
         assert ts.at(0.0) == 5.0
 
     def test_at_empty_raises(self):
         with pytest.raises(ValueError):
-            TimeSeries("x").at(0.0)
+            RingSeries("x", capacity=None).at(0.0)
 
     def test_tail_mean(self):
-        ts = TimeSeries("x")
+        ts = RingSeries("x", capacity=None)
         for i in range(8):
-            ts.record(float(i), float(i))
+            ts.append(float(i), float(i))
         assert ts.tail_mean(0.25) == pytest.approx((6 + 7) / 2)
-
-    def test_as_arrays(self):
-        ts = TimeSeries("x")
-        ts.record(0.0, 1.0)
-        times, values = ts.as_arrays()
-        assert times.tolist() == [0.0] and values.tolist() == [1.0]
 
 
 class TestRecorder:
     def test_series_created_on_demand(self):
-        rec = MetricsRecorder()
-        rec.record("a", 0.0, 1.0)
+        rec = SeriesStore(capacity=None)
+        rec.sample("a", 0.0, 1.0)
         assert "a" in rec
         assert rec["a"].values == [1.0]
 
     def test_record_many_prefixes(self):
-        rec = MetricsRecorder()
-        rec.record_many("share", 0.0, {"u1": 0.5, "u2": 0.5})
+        rec = SeriesStore(capacity=None)
+        rec.sample_many("share", 0.0, {"u1": 0.5, "u2": 0.5})
         assert set(rec.names("share/")) == {"share/u1", "share/u2"}
 
     def test_names_filter(self):
-        rec = MetricsRecorder()
-        rec.record("a/x", 0.0, 1.0)
-        rec.record("b/y", 0.0, 1.0)
+        rec = SeriesStore(capacity=None)
+        rec.sample("a/x", 0.0, 1.0)
+        rec.sample("b/y", 0.0, 1.0)
         assert rec.names("a/") == ["a/x"]
+
+    def test_unbounded_store_keeps_every_sample(self):
+        rec = SeriesStore(capacity=None)
+        n = 10_000  # beyond the bounded default capacity
+        for i in range(n):
+            rec.sample("x", float(i), float(i))
+        series = rec["x"]
+        assert len(series) == series.appended == n
+        assert series.times[0] == 0.0 and series.values[-1] == n - 1.0
+        assert series.at(n / 2 + 0.5) == n / 2
 
 
 class TestShareDeviation:
@@ -81,32 +92,3 @@ class TestShareDeviation:
 
     def test_empty_is_zero(self):
         assert share_deviation({}, {}) == 0.0
-
-
-class TestConvergenceTime:
-    def _series(self, values, dt=1.0):
-        ts = TimeSeries("dev")
-        for i, v in enumerate(values):
-            ts.record(i * dt, v)
-        return ts
-
-    def test_simple_convergence(self):
-        ts = self._series([0.5, 0.3, 0.1, 0.05, 0.01, 0.01, 0.01])
-        assert convergence_time(ts, threshold=0.02) == 4.0
-
-    def test_transient_dip_ignored_with_later_rise(self):
-        ts = self._series([0.5, 0.01, 0.5, 0.01, 0.01])
-        assert convergence_time(ts, threshold=0.02) == 3.0
-
-    def test_never_converges(self):
-        ts = self._series([0.5, 0.4, 0.3])
-        assert convergence_time(ts, threshold=0.02) is None
-
-    def test_hold_requires_sustained_period(self):
-        ts = self._series([0.5, 0.01, 0.01])
-        assert convergence_time(ts, threshold=0.02, hold=10.0) is None
-        assert convergence_time(ts, threshold=0.02, hold=1.0) == 1.0
-
-    def test_converged_from_start(self):
-        ts = self._series([0.001, 0.001])
-        assert convergence_time(ts, threshold=0.02) == 0.0

@@ -58,7 +58,7 @@ class TestExamples:
         out = proc.stdout
         assert "usage horizons" in out
         assert "divergence_max" in out
-        assert "convergence half-life" in out
+        assert "converged below 0.01 at" in out
         assert "Cross-site divergence" in out
 
     def test_observability_output_shape(self):
