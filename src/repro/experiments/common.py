@@ -17,13 +17,13 @@ from typing import Dict, List, Mapping, Optional
 
 from ..client.libaequus import LibAequus
 from ..core.policy import PolicyTree
+from ..obs.evaluate import convergence_time, share_deviation
+from ..obs.timeseries import RingSeries, SeriesStore
 from ..rms.cluster import Cluster
 from ..rms.maui import MauiScheduler, MauiWeights
 from ..rms.priority import FactorWeights
 from ..rms.scheduler import BaseScheduler
 from ..rms.slurm import SlurmScheduler
-from ..obs.evaluate import convergence_time, share_deviation
-from ..obs.timeseries import RingSeries, SeriesStore
 from ..services.network import Network
 from ..services.site import AequusSite, ParticipationMode, SiteConfig, connect_sites
 from ..sim.engine import SimulationEngine
